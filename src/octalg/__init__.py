@@ -2,7 +2,7 @@
 
 Exact rationals are the reference backend: every identity the package
 verifies holds there with tolerance 0.  A binary64 backend (with batched
-numpy/numba kernels) is available for speed.
+numpy kernels for the order-conversion matrix) is available for speed.
 """
 
 from .brackets import (

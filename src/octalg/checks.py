@@ -12,6 +12,7 @@ from (seed, identity name) so the streams stay independent of list order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .brackets import (
     multiplicative_commutator,
     schafer_residual,
 )
-from .core import EXACT, FLOAT, Octonion
+from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import enumerate_trees, evaluate
 
@@ -51,16 +52,21 @@ def _scaled_tolerance(tolerance, *values: Octonion):
     return tolerance * scale
 
 
-def _eq(a: Octonion, b: Octonion, tolerance) -> bool:
+def _eq(a: Octonion, b: Octonion, tolerance, *scale_by: Octonion) -> bool:
+    """Compare a and b, on the float backend at ``tolerance`` times the
+    largest coefficient of ``scale_by`` (default: of a and b).  An inf
+    coefficient makes the scaled tolerance non-finite and the values unequal."""
     if a.backend == EXACT:
         return a == b
-    return a.equals(b, _scaled_tolerance(tolerance, a, b))
+    scaled = _scaled_tolerance(tolerance, *(scale_by or (a, b)))
+    return math.isfinite(scaled) and a.equals(b, scaled)
 
 
 def _scalar_eq(a, b, tolerance) -> bool:
     if not isinstance(a, float):
         return a == b
-    return abs(a - b) <= tolerance * max(1.0, abs(a), abs(b))
+    diff = abs(a - b)
+    return math.isfinite(diff) and diff <= tolerance * max(1.0, abs(a), abs(b))
 
 
 def _one(backend: str) -> Octonion:
@@ -132,7 +138,7 @@ def _check_schafer(rng, backend, tol):
     else:
         # Scale against the identity's two sides, not the near-zero residual.
         lhs = a * additive_associator(x, y, z) + additive_associator(a, x, y) * z
-        ok = residual.equals(zero, _scaled_tolerance(tol, lhs, lhs - residual))
+        ok = _eq(residual, zero, tol, lhs, lhs - residual)
     if not ok:
         return f"schafer residual {residual} != 0 for a={a}, x={x}, y={y}, z={z}"
     return None
@@ -221,7 +227,7 @@ def run_checks(
 ) -> list[CheckReport]:
     """Run the identity suite and return one report per identity."""
     if tolerance is None:
-        tolerance = 1e-12 if backend == FLOAT else 0
+        tolerance = DEFAULT_FLOAT_TOLERANCE if backend == FLOAT else 0
     selected = IDENTITY_CHECKS if names is None else [
         (name, func) for name, func in IDENTITY_CHECKS if name in set(names)
     ]

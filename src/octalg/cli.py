@@ -34,7 +34,13 @@ from .brackets import (
     compute_bracket,
 )
 from .checks import run_checks
-from .core import EXACT, FLOAT, Octonion
+from .core import (
+    DEFAULT_FLOAT_TOLERANCE,
+    EXACT,
+    FLOAT,
+    Octonion,
+    require_tolerance,
+)
 from .errors import (
     BackendMismatchError,
     InvalidToleranceError,
@@ -58,9 +64,6 @@ EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_CHECK = 3
 
-DEFAULT_FLOAT_TOLERANCE = 1e-12
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; this tool reserves 2 for
     # evaluation errors.
@@ -77,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tolerance", type=float, default=None, metavar="T",
-        help="comparison tolerance, float backend only (default 1e-12)",
+        help="comparison tolerance, float backend only "
+        f"(default {DEFAULT_FLOAT_TOLERANCE:g})",
     )
     common.add_argument(
         "--format", choices=("text", "machine"), default="text", dest="fmt",
@@ -149,8 +153,7 @@ def _resolve_tolerance(args) -> float:
         return 0
     if args.tolerance is None:
         return DEFAULT_FLOAT_TOLERANCE
-    if args.tolerance < 0:
-        raise InvalidToleranceError("tolerance must be nonnegative")
+    require_tolerance(args.tolerance)
     return args.tolerance
 
 

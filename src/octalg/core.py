@@ -18,6 +18,7 @@ so the basis products are a consequence of the construction rather than a
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -29,6 +30,17 @@ DIM = 8
 
 EXACT = "exact"
 FLOAT = "float"
+
+# Comparison tolerance of the float backend when the caller names none.
+DEFAULT_FLOAT_TOLERANCE = 1e-12
+
+
+def require_tolerance(tolerance: Scalar) -> None:
+    """Raise InvalidToleranceError unless ``tolerance`` is finite and >= 0."""
+    if not 0 <= tolerance < math.inf:
+        raise InvalidToleranceError(
+            f"tolerance must be a finite number >= 0, got {tolerance}"
+        )
 
 
 def _cd_conjugate(v: tuple) -> tuple:
@@ -278,20 +290,19 @@ class Octonion:
         """Componentwise comparison.
 
         On the exact backend the tolerance must be 0 and the comparison is
-        structural equality of reduced rationals.  On the float backend the
-        maximum componentwise absolute difference is compared against the
-        tolerance.
+        structural equality of reduced rationals.  On the float backend every
+        componentwise absolute difference must be at most the tolerance, so a
+        NaN or inf difference makes the values unequal.
         """
         self._require_same_backend(other)
-        if tolerance < 0:
-            raise InvalidToleranceError(f"tolerance must be nonnegative, got {tolerance}")
+        require_tolerance(tolerance)
         if self.backend == EXACT:
             if tolerance != 0:
                 raise InvalidToleranceError(
                     "the exact backend compares exactly; tolerance must be 0"
                 )
             return self.c == other.c
-        return max(abs(a - b) for a, b in zip(self.c, other.c)) <= tolerance
+        return all(abs(a - b) <= tolerance for a, b in zip(self.c, other.c))
 
     def __eq__(self, other):
         if not isinstance(other, Octonion):

@@ -1,21 +1,16 @@
 """Batched float64 octonion kernels.
 
-The float-backend hot paths (bulk identity checking, associator matrices
-over hundreds of evaluation orders) operate on ``(n, 8)`` coefficient
-arrays.  Two interchangeable implementations exist:
+The float-backend order-conversion matrix operates on ``(n, 8)``
+coefficient arrays.  This is the only module of the package that knows
+that layout or imports numpy, so exact-backend callers never load it.
 
-* numba ``@njit`` loops (default when numba is importable), and
-* a pure-numpy fallback, selected by setting ``OCTALG_NO_NUMBA=1``.
-
-Both accumulate coefficients in the same index order as the scalar float
-backend, so all three paths agree bit for bit.  ``benchmarks/bench_kernels.py``
-compares the two implementations.
+Every kernel accumulates coefficients in the same index order as the
+scalar float backend, so the two paths agree bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,30 +39,37 @@ def to_octonions(batch: np.ndarray) -> list[Octonion]:
     return [Octonion([float(v) for v in row]) for row in _as_batch(batch)]
 
 
-# -- pure-numpy implementation -------------------------------------------
-
-
-def _np_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products ``a[k] * b[k]``."""
     a = _as_batch(a)
     b = _as_batch(b)
     if a.shape != b.shape:
         raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
     out = np.zeros_like(a)
     # Accumulation runs in (i, j) order so each output coefficient receives
-    # its terms in the same sequence as the scalar and numba paths.
+    # its terms in the same sequence as the scalar float backend.
     for i in range(8):
         for j in range(8):
             out[:, MUL_INDEX[i, j]] += MUL_SIGN[i, j] * (a[:, i] * b[:, j])
     return out
 
 
-def _np_conjugate(a: np.ndarray) -> np.ndarray:
+def pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every pairwise product: row ``i * len(b) + j`` is ``a[i] * b[j]``."""
+    a = _as_batch(a)
+    b = _as_batch(b)
+    return multiply(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
+
+
+def conjugate(a: np.ndarray) -> np.ndarray:
+    """Row-wise conjugates: the imaginary coefficients negated."""
     out = _as_batch(a).copy()
     out[:, 1:] = -out[:, 1:]
     return out
 
 
-def _np_norm_squared(a: np.ndarray) -> np.ndarray:
+def norm_squared(a: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms, summed in coefficient order."""
     a = _as_batch(a)
     acc = a[:, 0] * a[:, 0]
     for k in range(1, 8):
@@ -75,93 +77,10 @@ def _np_norm_squared(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _make_inverse(conjugate: Callable, norm_squared: Callable) -> Callable:
-    def inverse(a: np.ndarray) -> np.ndarray:
-        n2 = norm_squared(a)
-        if np.any(n2 == 0.0):
-            row = int(np.argmax(n2 == 0.0))
-            raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
-        return conjugate(a) / n2[:, None]
-
-    return inverse
-
-
-class Implementation(NamedTuple):
-    name: str
-    multiply: Callable
-    conjugate: Callable
-    norm_squared: Callable
-    inverse: Callable
-
-
-NUMPY_IMPL = Implementation(
-    name="numpy",
-    multiply=_np_multiply,
-    conjugate=_np_conjugate,
-    norm_squared=_np_norm_squared,
-    inverse=_make_inverse(_np_conjugate, _np_norm_squared),
-)
-
-NUMBA_IMPL = None
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-if njit is not None:
-    _IDX = MUL_INDEX
-    _SGN = MUL_SIGN
-
-    @njit
-    def _nb_multiply_core(a, b):
-        out = np.zeros_like(a)
-        for r in range(a.shape[0]):
-            for i in range(8):
-                ai = a[r, i]
-                for j in range(8):
-                    out[r, _IDX[i, j]] += _SGN[i, j] * (ai * b[r, j])
-        return out
-
-    @njit
-    def _nb_norm_squared_core(a):
-        out = np.empty(a.shape[0])
-        for r in range(a.shape[0]):
-            acc = a[r, 0] * a[r, 0]
-            for k in range(1, 8):
-                acc = acc + a[r, k] * a[r, k]
-            out[r] = acc
-        return out
-
-    def _nb_multiply(a, b):
-        a = _as_batch(a)
-        b = _as_batch(b)
-        if a.shape != b.shape:
-            raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-        return _nb_multiply_core(a, b)
-
-    def _nb_norm_squared(a):
-        return _nb_norm_squared_core(_as_batch(a))
-
-    NUMBA_IMPL = Implementation(
-        name="numba",
-        multiply=_nb_multiply,
-        conjugate=_np_conjugate,
-        norm_squared=_nb_norm_squared,
-        inverse=_make_inverse(_np_conjugate, _nb_norm_squared),
-    )
-
-
-def _pick_implementation() -> Implementation:
-    if os.environ.get("OCTALG_NO_NUMBA", "").strip() not in ("", "0"):
-        return NUMPY_IMPL
-    return NUMBA_IMPL if NUMBA_IMPL is not None else NUMPY_IMPL
-
-
-ACTIVE = _pick_implementation()
-IMPLEMENTATION = ACTIVE.name
-
-multiply = ACTIVE.multiply
-conjugate = ACTIVE.conjugate
-norm_squared = ACTIVE.norm_squared
-inverse = ACTIVE.inverse
+def inverse(a: np.ndarray) -> np.ndarray:
+    """Row-wise inverses; a zero row raises ZeroInverseError naming it."""
+    n2 = norm_squared(a)
+    if np.any(n2 == 0.0):
+        row = int(np.argmax(n2 == 0.0))
+        raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
+    return conjugate(a) / n2[:, None]

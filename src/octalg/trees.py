@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-import numpy as np
-
 from .core import FLOAT, Octonion
 from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
 
@@ -192,13 +190,8 @@ def _entries_float(products: list[Octonion]) -> tuple:
 
     count = len(products)
     p = kernels.from_octonions(products)
-    inv = kernels.inverse(p)
-    flat = kernels.multiply(np.repeat(inv, count, axis=0), np.tile(p, (count, 1)))
-    grid = flat.reshape(count, count, 8)
-    return tuple(
-        tuple(Octonion([float(v) for v in grid[i, j]]) for j in range(count))
-        for i in range(count)
-    )
+    flat = kernels.to_octonions(kernels.pairwise_products(kernels.inverse(p), p))
+    return tuple(tuple(flat[i * count:(i + 1) * count]) for i in range(count))
 
 
 def format_matrix_text(matrix: AssociatorMatrix, labels: Sequence[str] | None = None) -> str:

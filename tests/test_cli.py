@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from octalg.cli import main
 
 
@@ -117,6 +119,17 @@ class TestAssociator:
         assert code == 0
         assert out.strip() == "-2e7"
 
+    def test_non_finite_result_never_verifies(self, capsys):
+        # A coefficient of 1e400 is inf on the float backend; the result is NaN.
+        huge = "1" + "0" * 400 + ".0e1"
+        code, out, _ = run_cli(
+            capsys, "associator", "--backend", "float", huge, "e2", "e4"
+        )
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert not any(line.endswith("OK") for line in lines[1:])
+        assert code != 0
+
     def test_machine_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "associator", "e1", "e2", "e4", "--format", "machine"
@@ -223,6 +236,16 @@ class TestGlobalFlags:
             capsys, "eval", "e1", "--backend", "float", "--tolerance", "-1"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "associator", "e1", "e2", "e4", "--backend", "float",
+            "--tolerance", bad,
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
 
     def test_unknown_subcommand_exits_one(self, capsys):
         code = main(["frobnicate"])

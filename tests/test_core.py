@@ -12,6 +12,7 @@ from octalg import (
     Octonion,
     ZeroInverseError,
     cayley_dickson_product,
+    checks,
     structure_table,
 )
 
@@ -125,6 +126,23 @@ class TestSpecifiedExamples:
         b = Octonion.one().as_float()
         assert a.equals(b, 1e-12)
 
+    def test_equals_never_passes_on_nan_or_inf(self):
+        nan, inf = float("nan"), float("inf")
+        zero = Octonion.zero("float")
+        for k in range(8):
+            for bad in (nan, inf, -inf):
+                v = Octonion([bad if i == k else 0.0 for i in range(8)])
+                assert not v.equals(zero, 1e-12)
+                assert not zero.equals(v, 1e-12)
+                assert not v.equals(v, 1e-12)
+        # the identity suite's magnitude-scaled comparisons
+        finite = Octonion([5.0] + [0.0] * 7)
+        assert not checks._eq(Octonion([inf] + [0.0] * 7), finite, 1e-12)
+        assert not checks._eq(Octonion([5.0, nan] + [0.0] * 6), finite, 1e-12)
+        assert not checks._scalar_eq(inf, 5.0, 1e-12)
+        assert not checks._scalar_eq(inf, inf, 1e-12)
+        assert not checks._scalar_eq(nan, 5.0, 1e-12)
+
 
 class TestAlgebraLaws:
     @given(octonions, octonions)
@@ -220,8 +238,9 @@ class TestConstructionAndBackends:
         with pytest.raises(InvalidToleranceError):
             x.equals(x, Fraction(1, 10))
         y = x.as_float()
-        with pytest.raises(InvalidToleranceError):
-            y.equals(y, -1e-9)
+        for bad in (-1e-9, float("nan"), float("inf")):
+            with pytest.raises(InvalidToleranceError):
+                y.equals(y, bad)
 
     def test_float_backend_products(self):
         x = unit(1).as_float()
