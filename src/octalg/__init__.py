@@ -22,6 +22,7 @@ from .errors import (
     BackendMismatchError,
     InvalidToleranceError,
     InvalidWordError,
+    NonFiniteError,
     OctalgError,
     OutOfRangeError,
     ParseError,
@@ -43,6 +44,7 @@ from .trees import (
     generalized_associator,
     left_comb,
     right_comb,
+    tree_products,
 )
 
 __version__ = "0.1.0"
@@ -60,6 +62,7 @@ __all__ = [
     "InvalidWordError",
     "Leaf",
     "Node",
+    "NonFiniteError",
     "OctalgError",
     "Octonion",
     "OutOfRangeError",
@@ -92,4 +95,5 @@ __all__ = [
     "right_comb",
     "schafer_residual",
     "structure_table",
+    "tree_products",
 ]

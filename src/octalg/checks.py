@@ -26,7 +26,7 @@ from .brackets import (
 )
 from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion
 from .sampling import DEFAULT_SEED, random_octonion, random_word
-from .trees import enumerate_trees, evaluate
+from .trees import tree_products
 
 
 @dataclass
@@ -148,11 +148,8 @@ def _check_biassociativity(rng, backend, tol):
     x = random_octonion(rng, backend, nonzero=True)
     y = random_octonion(rng, backend, nonzero=True)
     word = random_word(rng)
-    values = expand_word(word, x, y)
-    trees = enumerate_trees(len(word))
-    reference = evaluate(trees[0], values)
-    for tree in trees[1:]:
-        other = evaluate(tree, values)
+    reference, *others = tree_products(expand_word(word, x, y))
+    for other in others:
         if not _eq(reference, other, tol):
             return f"word {word} differs between orders for x={x}, y={y}"
     return None

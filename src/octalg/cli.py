@@ -17,8 +17,8 @@ coefficients; matrix entries are ``i<TAB>j<TAB>coefficients`` lines with
 1-based indices.
 
 Exit codes: 0 success, 1 usage or syntax error, 2 evaluation error (zero
-inverse, unbound variable), 3 identity-check failure, which the exact
-backend should never produce.
+inverse, unbound variable, a float literal beyond the binary64 range),
+3 identity-check failure, which the exact backend should never produce.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
 from .errors import (
     BackendMismatchError,
     InvalidToleranceError,
+    NonFiniteError,
     UnboundVariableError,
     ZeroInverseError,
 )
@@ -53,10 +54,10 @@ from .textform import format_coefficients, format_octonion, parse_octonion
 from .trees import (
     associator_matrix,
     enumerate_trees,
-    evaluate,
     format_matrix_machine,
     format_matrix_text,
     render_tree,
+    tree_products,
 )
 
 EXIT_OK = 0
@@ -260,18 +261,17 @@ def _cmd_orders(args, tolerance) -> int:
     factors = [parse_octonion(text, args.backend) for text in args.factors]
     n = len(factors)
     trees = enumerate_trees(n)
+    orders = zip(trees, tree_products(factors))
     labels = [f"x{k}" for k in range(1, n + 1)]
     if args.fmt == "machine":
         print(f"n\t{n}")
         print(f"orders\t{len(trees)}")
-        for k, tree in enumerate(trees, start=1):
-            value = evaluate(tree, factors)
+        for k, (tree, value) in enumerate(orders, start=1):
             print(f"order_{k}\t{render_tree(tree, labels)}\t{format_coefficients(value)}")
     else:
         plural = "s" if len(trees) != 1 else ""
         print(f"{n} factor product, {len(trees)} evaluation order{plural}:")
-        for k, tree in enumerate(trees, start=1):
-            value = evaluate(tree, factors)
+        for k, (tree, value) in enumerate(orders, start=1):
             print(f"  {k}: {render_tree(tree, labels)} = {format_octonion(value)}")
     if not args.matrix:
         return EXIT_OK
@@ -341,7 +341,9 @@ def main(argv=None) -> int:
     try:
         tolerance = _resolve_tolerance(args)
         return _COMMANDS[args.command](args, tolerance)
-    except (ZeroInverseError, UnboundVariableError, BackendMismatchError) as exc:
+    except (
+        ZeroInverseError, UnboundVariableError, BackendMismatchError, NonFiniteError
+    ) as exc:
         print(f"octalg: error: {exc}", file=sys.stderr)
         return EXIT_EVAL
     except ValueError as exc:

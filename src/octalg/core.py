@@ -1,9 +1,13 @@
 """Octonion arithmetic over two scalar backends.
 
-The exact backend stores coefficients as `fractions.Fraction`, so every
-algebraic identity the package verifies can be checked with tolerance 0.
-The float backend stores binary64 coefficients and exists for speed;
-comparisons on it require an explicit tolerance.
+The exact backend stores an octonion as 8 Python ints over one positive
+common denominator, reduced so that the denominator and the numerators
+share no factor.  A product is then 64 integer multiplications and one
+gcd, and every algebraic identity the package verifies can be checked
+with tolerance 0.  ``Octonion.c`` presents the coefficients as reduced
+`fractions.Fraction` values.  The float backend stores binary64
+coefficients and exists for speed; comparisons on it require an explicit
+tolerance.
 
 The multiplication table is not hardcoded.  It is derived at import time
 by doubling the scalars three times (reals -> complex -> quaternions ->
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import BackendMismatchError, InvalidToleranceError, ZeroInverseError
@@ -131,9 +136,10 @@ class Octonion:
     octonions are safe to share between threads.
     """
 
-    __slots__ = ("c",)
-
-    c: tuple
+    # _v: 8 ints (exact) or 8 floats (float).  _d: the positive common
+    # denominator of the ints, with gcd(_d, *_v) == 1; None on the float
+    # backend, which is how the backend is told apart.
+    __slots__ = ("_v", "_d")
 
     def __init__(self, coefficients: Iterable[Scalar]):
         coeffs = tuple(coefficients)
@@ -142,11 +148,15 @@ class Octonion:
                 f"octonions take exactly {DIM} coefficients, got {len(coeffs)}"
             )
         if any(isinstance(v, float) for v in coeffs):
-            object.__setattr__(self, "c", tuple(float(v) for v in coeffs))
-        else:
-            object.__setattr__(
-                self, "c", tuple(v if type(v) is Fraction else Fraction(v) for v in coeffs)
-            )
+            _set_v(self, tuple(float(v) for v in coeffs))
+            _set_d(self, None)
+            return
+        fractions = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
+        # Each Fraction is reduced, so over the lcm of their denominators
+        # the numerators already share no factor with it.
+        d = lcm(*(f.denominator for f in fractions))
+        _set_v(self, tuple(f.numerator * (d // f.denominator) for f in fractions))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Octonion values are immutable")
@@ -155,7 +165,7 @@ class Octonion:
 
     @classmethod
     def zero(cls, backend: str = EXACT) -> "Octonion":
-        base = 0.0 if backend == FLOAT else Fraction(0)
+        base = 0.0 if backend == FLOAT else 0
         return cls((base,) * DIM)
 
     @classmethod
@@ -167,14 +177,14 @@ class Octonion:
         """The basis unit e_k, 0 <= k <= 7."""
         if not 0 <= k < DIM:
             raise ValueError(f"unit index must be in 0..{DIM - 1}, got {k}")
-        one = 1.0 if backend == FLOAT else Fraction(1)
-        zero = 0.0 if backend == FLOAT else Fraction(0)
+        one = 1.0 if backend == FLOAT else 1
+        zero = 0.0 if backend == FLOAT else 0
         return cls(tuple(one if i == k else zero for i in range(DIM)))
 
     @classmethod
     def from_real(cls, value: Scalar) -> "Octonion":
         """Embed a scalar as a real octonion; backend follows the value type."""
-        zero = 0.0 if isinstance(value, float) else Fraction(0)
+        zero = 0.0 if isinstance(value, float) else 0
         return cls((value,) + (zero,) * (DIM - 1))
 
     @classmethod
@@ -186,103 +196,136 @@ class Octonion:
     # -- properties ----------------------------------------------------
 
     @property
+    def c(self) -> tuple:
+        """The 8 coefficients: floats, or reduced Fractions on the exact backend."""
+        d = self._d
+        if d is None:
+            return self._v
+        return tuple(Fraction(n, d) for n in self._v)
+
+    @property
     def backend(self) -> str:
-        return FLOAT if isinstance(self.c[0], float) else EXACT
+        return FLOAT if self._d is None else EXACT
 
     @property
     def real(self) -> Scalar:
-        return self.c[0]
+        d = self._d
+        return self._v[0] if d is None else Fraction(self._v[0], d)
 
     def as_float(self) -> "Octonion":
         """A float-backend copy of this value."""
-        return Octonion(tuple(float(v) for v in self.c))
+        d = self._d
+        if d is None:
+            return _new(self._v, None)
+        # int / int is correctly rounded, as float(Fraction(n, d)) is.
+        return _new([n / d for n in self._v], None)
 
     # -- helpers -------------------------------------------------------
 
     def _require_same_backend(self, other: "Octonion") -> None:
-        if self.backend != other.backend:
+        if (self._d is None) != (other._d is None):
             raise BackendMismatchError(
                 f"cannot mix {self.backend} and {other.backend} backends"
             )
 
-    def _coerce_scalar(self, value) -> Scalar:
-        if self.backend == FLOAT:
-            return float(value)
+    def _aligned(self, other: "Octonion") -> tuple:
+        """Both values' coefficients over one denominator: (a, b, d)."""
+        self._require_same_backend(other)
+        da, db = self._d, other._d
+        if da == db:
+            return self._v, other._v, da
+        d = lcm(da, db)
+        fa, fb = d // da, d // db
+        return [n * fa for n in self._v], [n * fb for n in other._v], d
+
+    def _scaled(self, value) -> "Octonion":
+        if self._d is None:
+            s = float(value)
+            return _new([v * s for v in self._v], None)
         if isinstance(value, float):
             raise BackendMismatchError("float scalar on the exact backend")
-        return value if type(value) is Fraction else Fraction(value)
+        # ints and Fractions both carry numerator and denominator.
+        return _new(
+            [n * value.numerator for n in self._v], self._d * value.denominator
+        )
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        self._require_same_backend(other)
-        return Octonion(a + b for a, b in zip(self.c, other.c))
+        a, b, d = self._aligned(other)
+        return _new([x + y for x, y in zip(a, b)], d)
 
     def __sub__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        self._require_same_backend(other)
-        return Octonion(a - b for a, b in zip(self.c, other.c))
+        a, b, d = self._aligned(other)
+        return _new([x - y for x, y in zip(a, b)], d)
 
     def __neg__(self):
-        return Octonion(-a for a in self.c)
+        return _new([-v for v in self._v], self._d)
 
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._require_same_backend(other)
-            a = self.c
-            b = other.c
-            zero = 0.0 if isinstance(a[0], float) else Fraction(0)
-            out = [zero] * DIM
-            for i in range(DIM):
-                ai = a[i]
+            d = self._d
+            # One loop for both backends, in the (i, j) order of
+            # kernels.multiply, so float products agree with it bit for bit.
+            out = [0.0] * DIM if d is None else [0] * DIM
+            b = other._v
+            for ai, row_index, row_sign in zip(self._v, _MUL_INDEX, _MUL_SIGN):
                 if not ai:
                     continue
-                row_index = _MUL_INDEX[i]
-                row_sign = _MUL_SIGN[i]
-                for j in range(DIM):
-                    bj = b[j]
+                for bj, k, sign in zip(b, row_index, row_sign):
                     if not bj:
                         continue
-                    if row_sign[j] == 1:
-                        out[row_index[j]] += ai * bj
+                    if sign == 1:
+                        out[k] += ai * bj
                     else:
-                        out[row_index[j]] -= ai * bj
-            return Octonion(out)
+                        out[k] -= ai * bj
+            return _new(out, None if d is None else d * other._d)
         if isinstance(other, (int, float, Fraction)):
-            s = self._coerce_scalar(other)
-            return Octonion(v * s for v in self.c)
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            s = self._coerce_scalar(other)
-            return Octonion(s * v for v in self.c)
+            return self._scaled(other)
         return NotImplemented
 
     def conjugate(self) -> "Octonion":
         """Negate the imaginary part; reverses products: (xy)~ = y~ x~."""
-        return Octonion((self.c[0],) + tuple(-v for v in self.c[1:]))
+        v = self._v
+        return _new([v[0]] + [-x for x in v[1:]], self._d)
 
     def norm_sq(self) -> Scalar:
         """The squared norm, sum of squared coefficients.
 
         Multiplicative: norm_sq(x*y) == norm_sq(x) * norm_sq(y), exactly on
-        the exact backend.
+        the exact backend, where the value is a Fraction.
         """
-        acc = self.c[0] * self.c[0]
-        for v in self.c[1:]:
-            acc = acc + v * v
+        v, d = self._v, self._d
+        if d is not None:
+            return Fraction(sum(n * n for n in v), d * d)
+        acc = v[0] * v[0]
+        for x in v[1:]:
+            acc = acc + x * x
         return acc
 
     def inverse(self) -> "Octonion":
         """The two-sided multiplicative inverse, conjugate / norm_sq."""
-        n2 = self.norm_sq()
-        if not n2:
+        v, d = self._v, self._d
+        if d is None:
+            n2 = self.norm_sq()
+            if not n2:
+                raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
+            return _new([x / n2 for x in self.conjugate()._v], None)
+        # conj(v)/d divided by sum(v^2)/d^2 is conj(v)*d / sum(v^2).
+        s = sum(n * n for n in v)
+        if not s:
             raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
-        return Octonion(v / n2 for v in self.conjugate().c)
+        return _new([v[0] * d] + [-n * d for n in v[1:]], s)
 
     # -- comparison ----------------------------------------------------
 
@@ -296,24 +339,24 @@ class Octonion:
         """
         self._require_same_backend(other)
         require_tolerance(tolerance)
-        if self.backend == EXACT:
+        if self._d is not None:
             if tolerance != 0:
                 raise InvalidToleranceError(
                     "the exact backend compares exactly; tolerance must be 0"
                 )
-            return self.c == other.c
-        return all(abs(a - b) <= tolerance for a, b in zip(self.c, other.c))
+            return self._d == other._d and self._v == other._v
+        return all(abs(a - b) <= tolerance for a, b in zip(self._v, other._v))
 
     def __eq__(self, other):
         if not isinstance(other, Octonion):
             return NotImplemented
-        return self.backend == other.backend and self.c == other.c
+        return self._d == other._d and self._v == other._v
 
     def __hash__(self):
-        return hash((self.backend, self.c))
+        return hash((self._d, self._v))
 
     def __bool__(self):
-        return any(self.c)
+        return any(self._v)
 
     # -- display -------------------------------------------------------
 
@@ -324,3 +367,25 @@ class Octonion:
 
     def __repr__(self):
         return f"Octonion({str(self)!r}, backend={self.backend!r})"
+
+
+_alloc = object.__new__
+_set_v = Octonion._v.__set__
+_set_d = Octonion._d.__set__
+
+
+def _new(values, d) -> Octonion:
+    """Wrap coefficients as an Octonion without going through __init__.
+
+    ``d is None`` makes a float value from ``values``; otherwise ``values``
+    are integer numerators over ``d > 0``, reduced here with one gcd.
+    """
+    if d is not None:
+        g = gcd(d, *values)
+        if g != 1:
+            values = [n // g for n in values]
+            d //= g
+    x = _alloc(Octonion)
+    _set_v(x, tuple(values))
+    _set_d(x, d)
+    return x

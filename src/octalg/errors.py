@@ -19,6 +19,10 @@ class ZeroInverseError(OctalgError, ZeroDivisionError):
     """Raised when an inverse of zero is requested; names the offending operand."""
 
 
+class NonFiniteError(OctalgError, ValueError):
+    """Raised when a float-backend literal is not a finite binary64 value."""
+
+
 class ShapeMismatchError(OctalgError, ValueError):
     """Raised when a product tree does not fit its factor or word list."""
 

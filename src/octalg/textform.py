@@ -5,7 +5,9 @@ An octonion is written as a signed sum of terms, one term per basis unit::
     2 - 3/4e1 + e7
 
 Coefficients are decimal integers, fractions ``p/q``, or (float backend
-only) plain decimal floats.  The real unit is a bare coefficient; ``e1``
+only) plain decimal floats.  On the float backend every coefficient, and
+every sum of terms on one unit, must be finite in binary64; anything
+larger raises NonFiniteError.  The real unit is a bare coefficient; ``e1``
 to ``e7`` name the imaginary units (a lone ``e0`` is also accepted and
 means 1).  Whitespace is insignificant.  Scientific notation is not
 supported: ``e`` followed by a digit always starts a unit name.
@@ -13,12 +15,13 @@ supported: ``e`` followed by a digit always starts a unit name.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 from .core import DIM, EXACT, FLOAT, Octonion, Scalar
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError
 
 _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -35,6 +38,17 @@ def _skip_ws(text: str, i: int) -> int:
 def _scan_word(text: str, i: int) -> str | None:
     m = _WORD_RE.match(text, i)
     return m.group(0) if m else None
+
+
+def _to_float(value, offset: int) -> float:
+    """``value`` as binary64; NonFiniteError when it is beyond that range."""
+    try:
+        result = float(value)
+    except OverflowError:  # an int or Fraction too large for a float
+        result = math.inf
+    if not math.isfinite(result):
+        raise NonFiniteError(f"the number at offset {offset} is beyond the binary64 range")
+    return result
 
 
 def _scan_number(text: str, i: int, backend: str):
@@ -67,11 +81,11 @@ def _scan_number(text: str, i: int, backend: str):
         m2 = _INT_RE.match(text, end + 1)
         if not m2:
             raise ParseError(end + 1, ("fractional digits",))
-        return float(text[i : m2.end()]), m2.end()
+        return _to_float(text[i : m2.end()], i), m2.end()
     else:
         value = Fraction(numerator)
     if backend == FLOAT:
-        return float(value), end
+        return _to_float(value, i), end
     return value, end
 
 
@@ -121,6 +135,13 @@ def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion
             raise ParseError(j, ("number", "unit e0..e7"), text[j : j + 1])
         i = mark  # the sign belongs to whatever follows the literal
         break
+    if backend == FLOAT:
+        for k, v in enumerate(coeffs):
+            if not math.isfinite(v):
+                raise NonFiniteError(
+                    f"the e{k} coefficient of the literal at offset {start} "
+                    "sums beyond the binary64 range"
+                )
     return Octonion(coeffs), i
 
 

@@ -67,12 +67,16 @@ def _span_trees(lo: int, hi: int) -> tuple:
     return tuple(acc)
 
 
-def enumerate_trees(n: int) -> list[ProductTree]:
-    """All parenthesizations of an n-factor product, in canonical order."""
+def _require_enumerable(n: int) -> None:
     if not 1 <= n <= MAX_ENUMERATE_FACTORS:
         raise OutOfRangeError(
             f"factor count must be in 1..{MAX_ENUMERATE_FACTORS}, got {n}"
         )
+
+
+def enumerate_trees(n: int) -> list[ProductTree]:
+    """All parenthesizations of an n-factor product, in canonical order."""
+    _require_enumerable(n)
     return list(_span_trees(1, n))
 
 
@@ -120,6 +124,34 @@ def _evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
     if isinstance(tree, Leaf):
         return factors[tree.position - 1]
     return _evaluate(tree.left, factors) * _evaluate(tree.right, factors)
+
+
+def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
+    """The product of ``factors`` under every tree of `enumerate_trees`, in
+    the same canonical order.
+
+    Interval DP over spans: the products of each span are built once, from
+    the products of its two sub-spans at every split, so each tree of each
+    span costs one multiplication rather than one per internal node.  Every
+    product is computed with the same operands as `evaluate` would use, so
+    float results agree with it bit for bit.
+    """
+    n = len(factors)
+    _require_enumerable(n)
+    # span[lo][hi]: the products over factors lo..hi (0-based), canonical order.
+    span = [[None] * n for _ in range(n)]
+    for k, f in enumerate(factors):
+        span[k][k] = [f]
+    for width in range(1, n):
+        for lo in range(n - width):
+            hi = lo + width
+            span[lo][hi] = [
+                left * right
+                for split in range(lo, hi)
+                for left in span[lo][split]
+                for right in span[split + 1][hi]
+            ]
+    return span[0][n - 1]
 
 
 def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:
@@ -172,7 +204,7 @@ def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
         )
     _require_nonzero_factors(factors)
     trees = tuple(enumerate_trees(n))
-    products = [evaluate(t, factors) for t in trees]
+    products = tree_products(factors)
     if factors[0].backend == FLOAT:
         entries = _entries_float(products)
     else:

@@ -61,6 +61,21 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "x^-1", "--let", "x=0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1" + "0" * 400],
+            ["1" + "0" * 308 + ".0+1" + "0" * 308 + ".0"],
+            ["x*e2", "--let", "x=1" + "0" * 400 + ".0"],
+        ],
+        ids=["integer", "sum", "binding"],
+    )
+    def test_non_finite_float_literal_is_eval_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", "--backend", "float", *argv)
+        assert code == 2
+        assert out == ""
+        assert "binary64" in err
+
     def test_syntax_error_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "x*")
         assert code == 1
@@ -120,8 +135,8 @@ class TestAssociator:
         assert out.strip() == "-2e7"
 
     def test_non_finite_result_never_verifies(self, capsys):
-        # A coefficient of 1e400 is inf on the float backend; the result is NaN.
-        huge = "1" + "0" * 400 + ".0e1"
+        # 1e200 is finite, but its squared norm overflows to inf mid-computation.
+        huge = "1" + "0" * 200 + ".0e1"
         code, out, _ = run_cli(
             capsys, "associator", "--backend", "float", huge, "e2", "e4"
         )
@@ -129,6 +144,15 @@ class TestAssociator:
         assert len(lines) == 3
         assert not any(line.endswith("OK") for line in lines[1:])
         assert code != 0
+
+    def test_non_finite_operand_refused(self, capsys):
+        huge = "1" + "0" * 400 + ".0e1"
+        code, out, err = run_cli(
+            capsys, "associator", "--backend", "float", huge, "e2", "e4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "binary64" in err
 
     def test_machine_format(self, capsys):
         code, out, _ = run_cli(

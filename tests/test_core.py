@@ -2,9 +2,11 @@
 and the algebra laws the rest of the package leans on."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from octalg import (
     BackendMismatchError,
@@ -249,3 +251,60 @@ class TestConstructionAndBackends:
 
     def test_hashable(self):
         assert len({Octonion.one(), Octonion.one(), unit(1)}) == 2
+
+
+class TestExactRepresentation:
+    """Exact values are 8 ints over one reduced denominator; every operation
+    must agree with componentwise Fraction arithmetic on ``.c``."""
+
+    @given(octonions, octonions)
+    def test_add_and_sub_match_fractions(self, x, y):
+        assert (x + y).c == tuple(a + b for a, b in zip(x.c, y.c))
+        assert (x - y).c == tuple(a - b for a, b in zip(x.c, y.c))
+
+    @given(octonions, coefficients | st.integers(-50, 50))
+    def test_scalar_multiplication_matches_fractions(self, x, s):
+        assert (x * s).c == tuple(a * s for a in x.c)
+        assert (s * x).c == tuple(s * a for a in x.c)
+
+    @given(nonzero_octonions)
+    def test_inverse_and_norm_match_fractions(self, x):
+        norm = sum(a * a for a in x.c)
+        assert type(x.norm_sq()) is Fraction
+        assert x.norm_sq() == norm
+        conj = (x.c[0],) + tuple(-a for a in x.c[1:])
+        assert x.inverse().c == tuple(a / norm for a in conj)
+
+    @given(octonions, st.integers(1, 60))
+    def test_unreduced_results_are_reduced(self, x, k):
+        scaled = (x * k) * Fraction(1, k)
+        assert scaled == x
+        assert hash(scaled) == hash(x)
+        assert all(gcd(a.numerator, a.denominator) == 1 for a in scaled.c)
+
+    def test_sums_over_a_shared_factor_reduce(self):
+        # 1/6 + 1/3 = 3/6 over the common denominator 6, stored as 1/2.
+        built = Octonion([Fraction(1, 6)] * 8) + Octonion([Fraction(1, 3)] * 8)
+        half = Octonion([Fraction(1, 2)] * 8)
+        assert built == half
+        assert hash(built) == hash(half)
+        assert built.c == (Fraction(1, 2),) * 8
+        assert len({built, half}) == 1
+        assert built - half == Octonion.zero()
+        assert (built - half).c == (Fraction(0),) * 8
+
+    def test_inverse_of_a_long_product(self, rng):
+        from octalg.sampling import random_octonion
+
+        x = Octonion.one()
+        for _ in range(6):
+            x = x * random_octonion(rng, nonzero=True)
+        assert x * x.inverse() == Octonion.one()
+        assert x.inverse() * x == Octonion.one()
+        assert x.inverse().inverse() == x
+
+    def test_real_and_as_float_read_the_reduced_value(self):
+        x = Octonion([Fraction(-3, 4), Fraction(1, 6)] + [0] * 6)
+        assert x.real == Fraction(-3, 4)
+        assert x.as_float().c == (-0.75, 1 / 6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert Octonion.zero().c == (Fraction(0),) * 8

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from octalg import Octonion, ParseError, format_coefficients, format_octonion, parse_octonion
+from octalg import (
+    NonFiniteError,
+    Octonion,
+    ParseError,
+    format_coefficients,
+    format_octonion,
+    parse_octonion,
+)
 
 from tests.strategies import octonions, unit
 
@@ -68,6 +75,26 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_octonion("2 x")
         assert info.value.offset == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" + "0" * 400 + ".0e1",  # a decimal float that reads as inf
+            "1" + "0" * 400,  # an integer too large for a float
+            "1" + "0" * 400 + "/3",  # a fraction too large for a float
+            "1" + "0" * 308 + ".0 + 1" + "0" * 308 + ".0",  # a finite sum overflows
+        ],
+    )
+    def test_non_finite_float_literal_rejected(self, text):
+        with pytest.raises(NonFiniteError, match="binary64"):
+            parse_octonion(text, backend="float")
+        # The exact backend holds the same integers without loss.
+        if "." not in text:
+            assert parse_octonion(text).real > 10**300
+
+    def test_largest_finite_float_literal_accepted(self):
+        x = parse_octonion("1" + "0" * 308 + ".0", backend="float")
+        assert x.real == 1e308
 
     def test_unit_name_longer_than_unit(self):
         # e10 is an identifier, not e1 followed by 0.

@@ -19,6 +19,7 @@ from octalg import (
     left_comb,
     multiplicative_associator,
     right_comb,
+    tree_products,
 )
 from octalg.sampling import random_octonion
 from octalg.trees import CATALAN, format_matrix_machine, format_matrix_text, render_tree
@@ -100,6 +101,29 @@ class TestEvaluate:
             evaluate(left_comb(3), [ONE, ONE])
         with pytest.raises(ShapeMismatchError):
             evaluate(Node(Leaf(2), Leaf(1)), [ONE, ONE])
+
+
+class TestTreeProducts:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_tree_evaluation(self, rng, n):
+        factors = [random_octonion(rng, nonzero=True) for _ in range(n)]
+        expected = [evaluate(t, factors) for t in enumerate_trees(n)]
+        assert tree_products(factors) == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_float_matches_per_tree_evaluation_bitwise(self, rng, n):
+        factors = [random_octonion(rng, "float", nonzero=True) for _ in range(n)]
+        expected = [evaluate(t, factors) for t in enumerate_trees(n)]
+        got = tree_products(factors)
+        assert len(got) == len(expected)
+        for p, q in zip(got, expected):
+            assert [v.hex() for v in p.c] == [v.hex() for v in q.c]
+
+    def test_bounds(self):
+        with pytest.raises(OutOfRangeError):
+            tree_products([])
+        with pytest.raises(OutOfRangeError):
+            tree_products([ONE] * 13)
 
 
 class TestGeneralizedAssociator:
