@@ -17,8 +17,9 @@ coefficients; matrix entries are ``i<TAB>j<TAB>coefficients`` lines with
 1-based indices.
 
 Exit codes: 0 success, 1 usage or syntax error, 2 evaluation error (zero
-inverse, unbound variable, a float literal beyond the binary64 range),
-3 identity-check failure, which the exact backend should never produce.
+inverse, unbound variable, a float literal or a squared norm beyond the
+binary64 range), 3 identity-check failure, which the exact backend should
+never produce.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .trees import (
     format_matrix_text,
     render_tree,
     tree_products,
+    verify_matrix,
 )
 
 EXIT_OK = 0
@@ -282,15 +284,7 @@ def _cmd_orders(args, tolerance) -> int:
     else:
         print("order-conversion matrix (entry i j converts order i into order j):")
         print(format_matrix_text(matrix))
-    one = Octonion.one(args.backend)
-    diagonal_ok = all(
-        matrix.entry(i, i).equals(one, tolerance) for i in range(matrix.size)
-    )
-    symmetry_ok = all(
-        matrix.entry(j, i).equals(matrix.entry(i, j).conjugate(), tolerance)
-        for i in range(matrix.size)
-        for j in range(matrix.size)
-    )
+    diagonal_ok, symmetry_ok = verify_matrix(matrix, tolerance)
     _emit_check_line("diagonal all 1", diagonal_ok, args.fmt)
     _emit_check_line("entry(j,i) = entry(i,j)~", symmetry_ok, args.fmt)
     return EXIT_OK if diagonal_ok and symmetry_ok else EXIT_CHECK

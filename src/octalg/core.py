@@ -27,7 +27,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import BackendMismatchError, InvalidToleranceError, ZeroInverseError
+from .errors import (
+    BackendMismatchError,
+    InvalidToleranceError,
+    NonFiniteError,
+    ZeroInverseError,
+)
 
 Scalar = Union[Fraction, float]
 
@@ -203,6 +208,18 @@ class Octonion:
             return self._v
         return tuple(Fraction(n, d) for n in self._v)
 
+    def ratios(self) -> tuple:
+        """Exact backend only: the 8 coefficients as reduced ``(numerator,
+        denominator)`` int pairs, the values of `c` without building Fractions."""
+        d = self._d
+        if d is None:
+            raise BackendMismatchError("ratios() needs the exact backend")
+        pairs = []
+        for n in self._v:
+            g = gcd(n, d)
+            pairs.append((n // g, d // g))
+        return tuple(pairs)
+
     @property
     def backend(self) -> str:
         return FLOAT if self._d is None else EXACT
@@ -314,12 +331,20 @@ class Octonion:
         return acc
 
     def inverse(self) -> "Octonion":
-        """The two-sided multiplicative inverse, conjugate / norm_sq."""
+        """The two-sided multiplicative inverse, conjugate / norm_sq.
+
+        On the float backend a squared norm beyond the binary64 range raises
+        NonFiniteError: dividing by it would round the inverse towards zero.
+        """
         v, d = self._v, self._d
         if d is None:
             n2 = self.norm_sq()
             if not n2:
                 raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
+            if not math.isfinite(n2):
+                raise NonFiniteError(
+                    f"the squared norm of operand {self} is beyond the binary64 range"
+                )
             return _new([x / n2 for x in self.conjugate()._v], None)
         # conj(v)/d divided by sum(v^2)/d^2 is conj(v)*d / sum(v^2).
         s = sum(n * n for n in v)

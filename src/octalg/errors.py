@@ -20,7 +20,8 @@ class ZeroInverseError(OctalgError, ZeroDivisionError):
 
 
 class NonFiniteError(OctalgError, ValueError):
-    """Raised when a float-backend literal is not a finite binary64 value."""
+    """Raised when a float-backend literal, or a squared norm that an inverse
+    divides by, is not a finite binary64 value."""
 
 
 class ShapeMismatchError(OctalgError, ValueError):

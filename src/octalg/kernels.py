@@ -1,8 +1,9 @@
 """Batched float64 octonion kernels.
 
 The float-backend order-conversion matrix operates on ``(n, 8)``
-coefficient arrays.  This is the only module of the package that knows
-that layout or imports numpy, so exact-backend callers never load it.
+coefficient arrays, from its computation through its verification.  This
+is the only module of the package that imports numpy, so exact-backend
+callers never load it.
 
 Every kernel accumulates coefficients in the same index order as the
 scalar float backend, so the two paths agree bit for bit.
@@ -15,11 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import Octonion, structure_table
-from .errors import ZeroInverseError
+from .errors import NonFiniteError, ZeroInverseError
 
 _index_rows, _sign_rows = structure_table()
 MUL_INDEX = np.array(_index_rows, dtype=np.int64)
 MUL_SIGN = np.array(_sign_rows, dtype=np.float64)
+_ONE = np.array([1.0] + [0.0] * 7)
+_CONJUGATE_SIGN = np.array([1.0] + [-1.0] * 7)
 
 
 def _as_batch(a) -> np.ndarray:
@@ -32,11 +35,6 @@ def _as_batch(a) -> np.ndarray:
 def from_octonions(values: Sequence[Octonion]) -> np.ndarray:
     """Stack octonions into an (n, 8) float64 coefficient array."""
     return np.array([[float(v) for v in x.c] for x in values], dtype=np.float64)
-
-
-def to_octonions(batch: np.ndarray) -> list[Octonion]:
-    """Wrap the rows of an (n, 8) array as float-backend octonions."""
-    return [Octonion([float(v) for v in row]) for row in _as_batch(batch)]
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,9 +76,36 @@ def norm_squared(a: np.ndarray) -> np.ndarray:
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Row-wise inverses; a zero row raises ZeroInverseError naming it."""
-    n2 = norm_squared(a)
+    """Row-wise inverses.
+
+    A zero row raises ZeroInverseError and a row whose squared norm is not
+    finite raises NonFiniteError, each naming the row, as the scalar
+    `Octonion.inverse` does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = norm_squared(a)
     if np.any(n2 == 0.0):
         row = int(np.argmax(n2 == 0.0))
         raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
+    finite = np.isfinite(n2)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteError(f"the squared norm of row {row} is beyond the binary64 range")
     return conjugate(a) / n2[:, None]
+
+
+def conversion_verdicts(entries: np.ndarray, size: int, tolerance: float) -> tuple[bool, bool]:
+    """Check a row-major ``(size * size, 8)`` order-conversion matrix M.
+
+    Returns ``(diagonal_ok, symmetry_ok)``: whether every
+    ``|M[i,i] - 1| <= tolerance`` and every ``|M[j,i] - conj(M[i,j])| <=
+    tolerance``, componentwise.  These are the float operations of
+    `Octonion.equals`, so the verdicts agree with it, and a NaN or inf
+    difference fails.
+    """
+    m = _as_batch(entries).reshape(size, size, 8)
+    diagonal = m[np.arange(size), np.arange(size)]
+    diagonal_ok = bool(np.all(np.abs(diagonal - _ONE) <= tolerance))
+    transposed = m.transpose(1, 0, 2)  # transposed[i, j] is M[j, i]
+    symmetry_ok = bool(np.all(np.abs(transposed - m * _CONJUGATE_SIGN) <= tolerance))
+    return diagonal_ok, symmetry_ok

@@ -174,8 +174,13 @@ def format_scalar(value: Scalar) -> str:
 
 def format_octonion(x: Octonion) -> str:
     """Render in the shared text format, e.g. ``2 - 3/4e1 + e7``."""
+    return format_terms(x.c)
+
+
+def format_terms(coefficients) -> str:
+    """The text format of 8 coefficients given as Fractions or plain floats."""
     parts: list[str] = []
-    for k, v in enumerate(x.c):
+    for k, v in enumerate(coefficients):
         if not v:
             continue
         magnitude = abs(v)
@@ -194,4 +199,18 @@ def format_octonion(x: Octonion) -> str:
 
 def format_coefficients(x: Octonion) -> str:
     """Machine rendering: the 8 coefficients, comma-separated."""
-    return ",".join(format_scalar(v) for v in x.c)
+    if x.backend == FLOAT:
+        return format_float_coefficients(x.c)
+    return ",".join(str(n) if d == 1 else f"{n}/{d}" for n, d in x.ratios())
+
+
+def format_float_coefficients(values) -> str:
+    """Machine rendering of 8 binary64 coefficients given as plain floats.
+
+    The same text as `format_scalar` per value: ``repr`` is used as is
+    unless one of them switched to scientific notation.
+    """
+    text = ",".join(map(repr, values))
+    if "e" in text:
+        return ",".join(format_scalar(v) for v in values)
+    return text

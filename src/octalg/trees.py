@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .core import FLOAT, Octonion
+from .core import EXACT, FLOAT, Octonion, Scalar, _new, require_tolerance
 from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
@@ -174,25 +174,37 @@ def generalized_associator(i: int, j: int, factors: Sequence[Octonion]) -> Octon
     return p_i.inverse() * p_j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociatorMatrix:
     """Every pairwise evaluation-order associator of one factor sequence.
 
-    entries[i][j] converts the product under tree i into the product under
-    tree j.  The diagonal is 1 and entries[j][i] is the conjugate of
-    entries[i][j].
+    Entry (i, j) converts the product under tree i into the product under
+    tree j.  The diagonal is 1 and entry (j, i) is the conjugate of entry
+    (i, j).
+
+    ``flat`` holds the entries row-major, entry (i, j) at index
+    ``i * size + j``: on the float backend a read-only ``(size * size, 8)``
+    float64 array, which verification and formatting read as it is; on the
+    exact backend a list of octonions.  `entry` builds one Octonion on
+    demand.
     """
 
     n: int
     trees: tuple[ProductTree, ...]
-    entries: tuple[tuple[Octonion, ...], ...]
+    flat: object
 
     @property
     def size(self) -> int:
         return len(self.trees)
 
     def entry(self, i: int, j: int) -> Octonion:
-        return self.entries[i][j]
+        size = self.size
+        if not (0 <= i < size and 0 <= j < size):
+            raise IndexError(f"matrix indices must be in 0..{size - 1}, got ({i}, {j})")
+        value = self.flat[i * size + j]
+        if isinstance(value, Octonion):
+            return value
+        return _new(value.tolist(), None)
 
 
 def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
@@ -206,32 +218,68 @@ def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
     trees = tuple(enumerate_trees(n))
     products = tree_products(factors)
     if factors[0].backend == FLOAT:
-        entries = _entries_float(products)
+        flat = _entries_float(products)
     else:
         inverses = [p.inverse() for p in products]
-        entries = tuple(
-            tuple(inverses[i] * products[j] for j in range(len(trees)))
-            for i in range(len(trees))
-        )
-    return AssociatorMatrix(n=n, trees=trees, entries=entries)
+        flat = [inv * p for inv in inverses for p in products]
+    return AssociatorMatrix(n=n, trees=trees, flat=flat)
 
 
-def _entries_float(products: list[Octonion]) -> tuple:
+def _entries_float(products: list[Octonion]):
     """Batched float path; agrees with the scalar loop bit for bit."""
     from . import kernels
 
-    count = len(products)
     p = kernels.from_octonions(products)
-    flat = kernels.to_octonions(kernels.pairwise_products(kernels.inverse(p), p))
-    return tuple(tuple(flat[i * count:(i + 1) * count]) for i in range(count))
+    flat = kernels.pairwise_products(kernels.inverse(p), p)
+    flat.flags.writeable = False
+    return flat
+
+
+def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar = 0) -> tuple[bool, bool]:
+    """The matrix's two invariants: ``(diagonal_ok, symmetry_ok)``.
+
+    Whether every diagonal entry equals 1, and every entry (j, i) equals the
+    conjugate of entry (i, j), each compared as `Octonion.equals` compares
+    at ``tolerance``.
+    """
+    require_tolerance(tolerance)
+    size, flat = matrix.size, matrix.flat
+    if not isinstance(flat, list):
+        from . import kernels
+
+        return kernels.conversion_verdicts(flat, size, tolerance)
+    one = Octonion.one(EXACT)
+    diagonal_ok = all(flat[i * size + i].equals(one, tolerance) for i in range(size))
+    symmetry_ok = all(
+        flat[j * size + i].equals(flat[i * size + j].conjugate(), tolerance)
+        for i in range(size)
+        for j in range(size)
+    )
+    return diagonal_ok, symmetry_ok
+
+
+def _matrix_rows(matrix: AssociatorMatrix, exact_cell, float_cell):
+    """Each row of the matrix as an iterator over its rendered cells.
+
+    An exact entry is rendered by ``exact_cell(octonion)``, a float entry by
+    ``float_cell(list of 8 floats)``.
+    """
+    size, flat = matrix.size, matrix.flat
+    for i in range(size):
+        row = flat[i * size:(i + 1) * size]
+        if isinstance(row, list):
+            yield map(exact_cell, row)
+        else:
+            # One row at a time: converting the whole array would hold a
+            # Python float for every coefficient at once.
+            yield map(float_cell, row.tolist())
 
 
 def format_matrix_text(matrix: AssociatorMatrix, labels: Sequence[str] | None = None) -> str:
     """Aligned plain-text table of the matrix entries."""
-    cells = [
-        [str(matrix.entries[i][j]) for j in range(matrix.size)]
-        for i in range(matrix.size)
-    ]
+    from .textform import format_octonion, format_terms
+
+    cells = [list(row) for row in _matrix_rows(matrix, format_octonion, format_terms)]
     widths = [
         max(len(cells[i][j]) for i in range(matrix.size)) for j in range(matrix.size)
     ]
@@ -244,10 +292,12 @@ def format_matrix_text(matrix: AssociatorMatrix, labels: Sequence[str] | None = 
 
 def format_matrix_machine(matrix: AssociatorMatrix) -> str:
     """One line per entry: ``i<TAB>j<TAB>coefficients`` (1-based indices)."""
-    from .textform import format_coefficients
+    from .textform import format_coefficients, format_float_coefficients
 
     lines = []
-    for i in range(matrix.size):
-        for j in range(matrix.size):
-            lines.append(f"{i + 1}\t{j + 1}\t{format_coefficients(matrix.entries[i][j])}")
+    for i, row in enumerate(
+        _matrix_rows(matrix, format_coefficients, format_float_coefficients), start=1
+    ):
+        for j, cell in enumerate(row, start=1):
+            lines.append(f"{i}\t{j}\t{cell}")
     return "\n".join(lines)

@@ -1,11 +1,15 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from octalg.cli import main
+
+from tests.strategies import perturbed
 
 
 def run_cli(capsys, *argv):
@@ -135,15 +139,15 @@ class TestAssociator:
         assert out.strip() == "-2e7"
 
     def test_non_finite_result_never_verifies(self, capsys):
-        # 1e200 is finite, but its squared norm overflows to inf mid-computation.
+        # 1e200 is finite, but its squared norm overflows to inf mid-computation:
+        # an evaluation error on the input, not a failed identity check.
         huge = "1" + "0" * 200 + ".0e1"
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "associator", "--backend", "float", huge, "e2", "e4"
         )
-        lines = out.splitlines()
-        assert len(lines) == 3
-        assert not any(line.endswith("OK") for line in lines[1:])
-        assert code != 0
+        assert code == 2
+        assert out == ""
+        assert "binary64" in err
 
     def test_non_finite_operand_refused(self, capsys):
         huge = "1" + "0" * 400 + ".0e1"
@@ -195,6 +199,40 @@ class TestOrders:
     def test_too_many_factors(self, capsys):
         code, _, err = run_cli(capsys, "orders", *(["e1"] * 13))
         assert code == 1
+
+    def test_non_finite_matrix_refused(self, capsys):
+        # 1e200 is finite, but the squared norm of every product overflows.
+        huge = "1" + "0" * 200 + ".0e1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code, out, err = run_cli(
+                capsys, "orders", huge, "e2", "e4", "--matrix", "--backend", "float",
+                "--format", "machine",
+            )
+        assert code == 2
+        assert "verify" not in out
+        assert "binary64" in err
+
+    @pytest.mark.parametrize("coefficient", [0, 5], ids=["diagonal", "off-diagonal"])
+    def test_matrix_verification_can_fail(self, capsys, monkeypatch, coefficient):
+        # 10x the tolerance added to coefficient 0 of the diagonal entry (1, 1)
+        # breaks "diagonal all 1"; added to coefficient 5 of the off-diagonal
+        # entry (1, 2), it breaks the conjugate symmetry.
+        from octalg import associator_matrix, cli
+
+        j = 0 if coefficient == 0 else 1
+        monkeypatch.setattr(
+            cli, "associator_matrix",
+            lambda factors: perturbed(associator_matrix(factors), 0, j, coefficient, 1e-11),
+        )
+        code, out, _ = run_cli(
+            capsys, "orders", "1 + e1", "2 - e2", "e4 + 1/3e7", "--matrix",
+            "--backend", "float", "--format", "machine",
+        )
+        assert code == 3
+        diagonal, symmetry = out.splitlines()[-2:]
+        assert diagonal.endswith("FAIL" if coefficient == 0 else "OK")
+        assert symmetry.endswith("OK" if coefficient == 0 else "FAIL")
 
 
 class TestCheck:
@@ -302,3 +340,34 @@ class TestConsoleScript:
         ]
         assert runs[0] == runs[1]
         assert runs[0].endswith(b"result\tpass\n")
+
+
+# Seven fixed factors; their float matrix holds values that repr writes in
+# scientific notation, so both renderings of a float are exercised.
+GOLDEN_FACTORS = (
+    "1 + 2e1 - 3/4e5", "3 - e2 + 1/2e6", "e4 + 1/2e7", "2/3 - e3 + 5e4",
+    "1/5 + e1 + e2 + e7", "7 - 2e5 + 1/3e6", "1/2 + 3/7e3 - e4",
+)
+
+
+class TestGoldenOutput:
+    """sha256 of the full stdout of a 7-factor ``orders --matrix``, so that
+    no change to how the matrix is computed, stored or rendered can change
+    a byte of it unnoticed."""
+
+    @pytest.mark.parametrize(
+        "backend, fmt, digest",
+        [
+            ("exact", "machine", "06daeae40f6be83bff2cb68aa72e6c9ae40e77b668be1d4e3c58c43b7e6b3714"),
+            ("float", "machine", "241191ff7fb5f3f04d6069b636ea96181ef0c6c836cd4c26b0765c45b0f4222b"),
+            ("float", "text", "b284623869fca6c7a80beca6897b1df2cd30214c6c9742d6906873e9938fcfad"),
+            ("exact", "text", "1b759e3279e905b5a29efdd4aca7e0773af891c64d9fee2474e54dfe2a4bc66a"),
+        ],
+    )
+    def test_seven_factor_matrix(self, capsys, backend, fmt, digest):
+        code, out, _ = run_cli(
+            capsys, "orders", *GOLDEN_FACTORS, "--matrix", "--backend", backend,
+            "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

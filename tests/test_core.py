@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from octalg import (
     BackendMismatchError,
     InvalidToleranceError,
+    NonFiniteError,
     Octonion,
     ZeroInverseError,
     cayley_dickson_product,
@@ -119,6 +120,12 @@ class TestSpecifiedExamples:
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroInverseError, match="operand 0"):
             Octonion.zero().inverse()
+
+    def test_inverse_with_overflowing_norm(self):
+        # 1e200 is finite; its squared norm is not, and dividing by it would
+        # round the inverse to zero.
+        with pytest.raises(NonFiniteError, match="binary64"):
+            Octonion([1e200] + [0.0] * 7).inverse()
 
     def test_equals(self):
         x = Octonion.parse("1 - e3")
@@ -302,6 +309,13 @@ class TestExactRepresentation:
         assert x * x.inverse() == Octonion.one()
         assert x.inverse() * x == Octonion.one()
         assert x.inverse().inverse() == x
+
+    @given(octonions, nonzero_octonions)
+    def test_ratios_are_the_reduced_coefficients(self, x, y):
+        for value in (x, x * y, x + y * Fraction(1, 7)):
+            assert value.ratios() == tuple((a.numerator, a.denominator) for a in value.c)
+        with pytest.raises(BackendMismatchError):
+            x.as_float().ratios()
 
     def test_real_and_as_float_read_the_reduced_value(self):
         x = Octonion([Fraction(-3, 4), Fraction(1, 6)] + [0] * 6)

@@ -3,11 +3,12 @@ and the module boundary that keeps numpy off the exact paths."""
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from octalg import ZeroInverseError, kernels
+from octalg import NonFiniteError, Octonion, ZeroInverseError, kernels
 from octalg.sampling import random_octonion
 
 
@@ -53,6 +54,14 @@ class TestAgainstScalarBackend:
         with pytest.raises(ZeroInverseError, match="row 2"):
             kernels.inverse(ax)
 
+    def test_inverse_rejects_overflowing_norm_without_warning(self, rng):
+        _, ax = _batch(rng, 4, nonzero=True)
+        ax[1, 3] = 1e200  # finite, but its square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="row 1"):
+                kernels.inverse(ax)
+
 
 class TestShapeHandling:
     def test_rejects_wrong_shape(self):
@@ -64,8 +73,9 @@ class TestShapeHandling:
             kernels.multiply(np.zeros((3, 8)), np.zeros((4, 8)))
 
     def test_round_trip_wrappers(self, rng):
+        # The order-conversion matrix wraps one array row at a time this way.
         xs, ax = _batch(rng, 5)
-        assert kernels.to_octonions(ax) == xs
+        assert [Octonion(row.tolist()) for row in ax] == xs
 
 
 class TestModuleBoundary:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from octalg import (
     NonFiniteError,
@@ -13,8 +14,19 @@ from octalg import (
     format_octonion,
     parse_octonion,
 )
+from octalg.textform import format_float_coefficients, format_scalar
 
 from tests.strategies import octonions, unit
+
+# Binary64 values at the edges of repr's positional/scientific switch and of
+# the range: subnormals, the smallest normal, +-1e308, signed zeros, 1e-7 and
+# 1e16 (repr's first scientific values), and the non-finite values.
+_EDGE_FLOATS = st.sampled_from([
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+    0.0, -0.0, 1e-7, 0.0001, 1e16, 9999999999999998.0, -1e16,
+    float("nan"), float("inf"), float("-inf"),
+])
+_FLOATS = st.floats() | _EDGE_FLOATS
 
 
 class TestParse:
@@ -131,3 +143,15 @@ class TestRender:
     def test_machine_coefficients(self):
         x = Octonion([1, 0, Fraction(-3, 4), 0, 0, 0, 0, 2])
         assert format_coefficients(x) == "1,0,-3/4,0,0,0,0,2"
+
+    @given(st.lists(_FLOATS, min_size=8, max_size=8))
+    def test_float_fast_join_matches_per_value_rendering(self, values):
+        expected = ",".join(format_scalar(v) for v in values)
+        assert format_float_coefficients(values) == expected
+        assert format_coefficients(Octonion(values)) == expected
+
+    @given(octonions, octonions)
+    def test_exact_machine_rendering_matches_fractions(self, x, y):
+        for value in (x, x * y, x - y * Fraction(5, 3)):
+            expected = ",".join(format_scalar(v) for v in value.c)
+            assert format_coefficients(value) == expected

@@ -1,5 +1,6 @@
 """Tree enumeration, evaluation, and the order-conversion matrix."""
 
+import math
 import random
 
 import pytest
@@ -22,9 +23,17 @@ from octalg import (
     tree_products,
 )
 from octalg.sampling import random_octonion
-from octalg.trees import CATALAN, format_matrix_machine, format_matrix_text, render_tree
+from octalg.core import DEFAULT_FLOAT_TOLERANCE
+from octalg.textform import format_coefficients
+from octalg.trees import (
+    CATALAN,
+    format_matrix_machine,
+    format_matrix_text,
+    render_tree,
+    verify_matrix,
+)
 
-from tests.strategies import nonzero_octonions, unit
+from tests.strategies import nonzero_octonions, perturbed, unit
 
 ONE = Octonion.one()
 
@@ -263,7 +272,97 @@ class TestAssociatorMatrix:
                 )
 
 
+def _float_matrix(n, seed):
+    gen = random.Random(f"float-matrix-{n}-{seed}")
+    return associator_matrix(
+        [random_octonion(gen, backend="float", nonzero=True) for _ in range(n)]
+    )
+
+
+def _per_entry_verdicts(m, tolerance):
+    """The per-entry comparison the array verification replaces."""
+    one = Octonion.one("float")
+    diagonal_ok = all(m.entry(i, i).equals(one, tolerance) for i in range(m.size))
+    symmetry_ok = all(
+        m.entry(j, i).equals(m.entry(i, j).conjugate(), tolerance)
+        for i in range(m.size)
+        for j in range(m.size)
+    )
+    return diagonal_ok, symmetry_ok
+
+
+class TestMatrixStorage:
+    def test_float_entries_are_one_read_only_array(self):
+        m = _float_matrix(4, 0)
+        assert m.flat.shape == (25, 8)
+        assert not m.flat.flags.writeable
+        assert m.entry(2, 3).c == tuple(m.flat[2 * 5 + 3].tolist())
+        assert all(type(v) is float for v in m.entry(2, 3).c)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_entry_indices_checked(self, backend):
+        m = associator_matrix([Octonion.unit(k, backend) for k in (1, 2, 4)])
+        for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+            with pytest.raises(IndexError):
+                m.entry(i, j)
+
+
+class TestMatrixVerification:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_array_verdicts_match_per_entry_equals(self, n):
+        m = _float_matrix(n, 1)
+        # Tolerances on both sides of the worst deviation, where the verdicts
+        # turn: only the same float operations give the same answers there.
+        worst = max(
+            max(abs(a - b) for a, b in zip(m.entry(j, i).c, m.entry(i, j).conjugate().c))
+            for i in range(m.size)
+            for j in range(m.size)
+        )
+        worst_diagonal = max(
+            max(abs(a - b) for a, b in zip(m.entry(i, i).c, Octonion.one("float").c))
+            for i in range(m.size)
+        )
+        tolerances = {0.0, DEFAULT_FLOAT_TOLERANCE, worst, worst_diagonal}
+        tolerances |= {math.nextafter(t, 0.0) for t in (worst, worst_diagonal)}
+        seen = set()
+        for tolerance in sorted(tolerances):
+            verdicts = verify_matrix(m, tolerance)
+            assert verdicts == _per_entry_verdicts(m, tolerance)
+            seen.add(verdicts)
+        assert {d for d, _ in seen} == {s for _, s in seen} == {True, False}
+        assert verify_matrix(m, DEFAULT_FLOAT_TOLERANCE) == (True, True)
+
+    def test_exact_verdicts(self):
+        m = associator_matrix([unit(1), unit(2), unit(4), unit(7)])
+        assert verify_matrix(m) == (True, True)
+
+    @pytest.mark.parametrize(
+        "i, j, k, delta, verdicts",
+        [
+            (3, 3, 0, 10 * DEFAULT_FLOAT_TOLERANCE, (False, True)),
+            (3, 11, 5, 10 * DEFAULT_FLOAT_TOLERANCE, (True, False)),
+            (3, 3, 0, math.nan, (False, False)),
+            (11, 3, 2, math.nan, (True, False)),
+        ],
+        ids=["diagonal", "off-diagonal", "nan-diagonal", "nan-off-diagonal"],
+    )
+    def test_negative_controls(self, i, j, k, delta, verdicts):
+        m = _float_matrix(5, 2)
+        bad = perturbed(m, i, j, k, delta)
+        assert verify_matrix(bad, DEFAULT_FLOAT_TOLERANCE) == verdicts
+        assert _per_entry_verdicts(bad, DEFAULT_FLOAT_TOLERANCE) == verdicts
+
+
 class TestRendering:
+    def test_float_machine_lines_match_per_entry_rendering(self):
+        m = _float_matrix(5, 3)
+        lines = format_matrix_machine(m).split("\n")
+        assert lines == [
+            f"{i + 1}\t{j + 1}\t{format_coefficients(m.entry(i, j))}"
+            for i in range(m.size)
+            for j in range(m.size)
+        ]
+
     def test_machine_lines(self):
         m = associator_matrix([unit(1), unit(2), unit(4)])
         lines = format_matrix_machine(m).splitlines()
