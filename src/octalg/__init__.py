@@ -6,12 +6,8 @@ numpy kernels for the order-conversion matrix) is available for speed.
 """
 
 from .brackets import (
-    BRACKET_KINDS,
-    BracketResult,
     additive_associator,
     additive_commutator,
-    biassociativity_check,
-    compute_bracket,
     expand_word,
     multiplicative_associator,
     multiplicative_commutator,
@@ -51,9 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociatorMatrix",
-    "BRACKET_KINDS",
     "BackendMismatchError",
-    "BracketResult",
     "EXACT",
     "Environment",
     "Expr",
@@ -75,9 +69,7 @@ __all__ = [
     "additive_associator",
     "additive_commutator",
     "associator_matrix",
-    "biassociativity_check",
     "cayley_dickson_product",
-    "compute_bracket",
     "enumerate_trees",
     "eval_expr",
     "evaluate",

@@ -10,7 +10,6 @@ unit-norm factors that convert one evaluation order into the other:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FLOAT, Octonion
@@ -112,59 +111,3 @@ def _scalar_octonion(value, backend: str) -> Octonion:
     if isinstance(value, float):
         raise BackendMismatchError("float scalar in an exact-backend word")
     return Octonion.from_real(Fraction(value))
-
-
-def biassociativity_check(x, y, word, tree1, tree2, tolerance=0) -> bool:
-    """Evaluate a two-generator word under two product trees and compare.
-
-    Products built only from x, y, their conjugates, inverses and real
-    scalars do not depend on parenthesization, so this returns True for
-    every pair of trees of the right size.
-    """
-    from .trees import evaluate
-
-    values = expand_word(word, x, y)
-    return evaluate(tree1, values).equals(evaluate(tree2, values), tolerance)
-
-
-# -- tagged results -------------------------------------------------------
-
-ADDITIVE_COMMUTATOR = "additive-commutator"
-ADDITIVE_ASSOCIATOR = "additive-associator"
-MULTIPLICATIVE_COMMUTATOR = "multiplicative-commutator"
-MULTIPLICATIVE_ASSOCIATOR = "multiplicative-associator"
-
-BRACKET_KINDS = (
-    ADDITIVE_COMMUTATOR,
-    ADDITIVE_ASSOCIATOR,
-    MULTIPLICATIVE_COMMUTATOR,
-    MULTIPLICATIVE_ASSOCIATOR,
-)
-
-_BRACKET_FUNCTIONS = {
-    ADDITIVE_COMMUTATOR: additive_commutator,
-    ADDITIVE_ASSOCIATOR: additive_associator,
-    MULTIPLICATIVE_COMMUTATOR: multiplicative_commutator,
-    MULTIPLICATIVE_ASSOCIATOR: multiplicative_associator,
-}
-
-
-@dataclass(frozen=True)
-class BracketResult:
-    """A bracket value together with its kind and the operands it came from."""
-
-    kind: str
-    value: Octonion
-    operands: tuple[Octonion, ...]
-
-
-def compute_bracket(kind: str, operands) -> BracketResult:
-    """Dispatch one of the four brackets by kind name."""
-    operands = tuple(operands)
-    if kind not in _BRACKET_FUNCTIONS:
-        raise ValueError(f"unknown bracket kind {kind!r}; expected one of {BRACKET_KINDS}")
-    arity = 2 if "commutator" in kind else 3
-    if len(operands) != arity:
-        raise ValueError(f"{kind} takes {arity} operands, got {len(operands)}")
-    value = _BRACKET_FUNCTIONS[kind](*operands)
-    return BracketResult(kind=kind, value=value, operands=operands)

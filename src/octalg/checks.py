@@ -69,10 +69,6 @@ def _scalar_eq(a, b, tolerance) -> bool:
     return math.isfinite(diff) and diff <= tolerance * max(1.0, abs(a), abs(b))
 
 
-def _one(backend: str) -> Octonion:
-    return Octonion.one(backend)
-
-
 def _check_product_conversion(rng, backend, tol):
     x, y, z = (random_octonion(rng, backend, nonzero=True) for _ in range(3))
     a = multiplicative_associator(x, y, z)
@@ -180,7 +176,7 @@ def _check_moufang(rng, backend, tol):
 
 def _check_bracket_duality(rng, backend, tol):
     x, y = (random_octonion(rng, backend, nonzero=True) for _ in range(2))
-    one = _one(backend)
+    one = Octonion.one(backend)
     zero = Octonion.zero(backend)
     add = additive_commutator(x, y)
     mul = multiplicative_commutator(x, y)

@@ -28,11 +28,10 @@ import argparse
 import sys
 
 from .brackets import (
-    ADDITIVE_ASSOCIATOR,
-    ADDITIVE_COMMUTATOR,
-    MULTIPLICATIVE_ASSOCIATOR,
-    MULTIPLICATIVE_COMMUTATOR,
-    compute_bracket,
+    additive_associator,
+    additive_commutator,
+    multiplicative_associator,
+    multiplicative_commutator,
 )
 from .checks import run_checks
 from .core import (
@@ -55,9 +54,12 @@ from .textform import format_coefficients, format_octonion, parse_octonion
 from .trees import (
     associator_matrix,
     enumerate_trees,
+    evaluate,
     format_matrix_machine,
     format_matrix_text,
+    left_comb,
     render_tree,
+    right_comb,
     tree_products,
     verify_matrix,
 )
@@ -196,12 +198,8 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
         )
         try:
             values = [eval_expr(f, env) for f in factors]
-            left = values[0]
-            for v in values[1:]:
-                left = left * v
-            right = values[-1]
-            for v in reversed(values[:-1]):
-                right = v * right
+            left = evaluate(left_comb(len(values)), values)
+            right = evaluate(right_comb(len(values)), values)
         except (ZeroInverseError, UnboundVariableError, BackendMismatchError):
             continue
         if not left.equals(right, tolerance):
@@ -215,39 +213,30 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
 def _cmd_commutator(args, tolerance) -> int:
     x = parse_octonion(args.x, args.backend)
     y = parse_octonion(args.y, args.backend)
-    kind = (
-        MULTIPLICATIVE_COMMUTATOR if args.flavor == "multiplicative"
-        else ADDITIVE_COMMUTATOR
-    )
-    result = compute_bracket(kind, (x, y))
-    _emit_value(result.value, args.fmt)
-    if kind == MULTIPLICATIVE_COMMUTATOR:
-        ok = ((x * y) * result.value).equals(y * x, tolerance)
-        _emit_check_line("(x*y)*c = y*x", ok, args.fmt)
-        if not ok:
-            return EXIT_CHECK
-    return EXIT_OK
+    if args.flavor == "additive":
+        _emit_value(additive_commutator(x, y), args.fmt)
+        return EXIT_OK
+    c = multiplicative_commutator(x, y)
+    _emit_value(c, args.fmt)
+    ok = ((x * y) * c).equals(y * x, tolerance)
+    _emit_check_line("(x*y)*c = y*x", ok, args.fmt)
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def _cmd_associator(args, tolerance) -> int:
     x = parse_octonion(args.x, args.backend)
     y = parse_octonion(args.y, args.backend)
     z = parse_octonion(args.z, args.backend)
-    kind = (
-        MULTIPLICATIVE_ASSOCIATOR if args.flavor == "multiplicative"
-        else ADDITIVE_ASSOCIATOR
-    )
-    result = compute_bracket(kind, (x, y, z))
-    _emit_value(result.value, args.fmt)
-    if kind == MULTIPLICATIVE_ASSOCIATOR:
-        a = result.value
-        forward = (((x * y) * z) * a).equals(x * (y * z), tolerance)
-        backward = ((x * y) * z).equals((x * (y * z)) * a.conjugate(), tolerance)
-        _emit_check_line("((x*y)*z)*a = x*(y*z)", forward, args.fmt)
-        _emit_check_line("(x*y)*z = (x*(y*z))*a~", backward, args.fmt)
-        if not (forward and backward):
-            return EXIT_CHECK
-    return EXIT_OK
+    if args.flavor == "additive":
+        _emit_value(additive_associator(x, y, z), args.fmt)
+        return EXIT_OK
+    a = multiplicative_associator(x, y, z)
+    _emit_value(a, args.fmt)
+    forward = (((x * y) * z) * a).equals(x * (y * z), tolerance)
+    backward = ((x * y) * z).equals((x * (y * z)) * a.conjugate(), tolerance)
+    _emit_check_line("((x*y)*z)*a = x*(y*z)", forward, args.fmt)
+    _emit_check_line("(x*y)*z = (x*(y*z))*a~", backward, args.fmt)
+    return EXIT_OK if forward and backward else EXIT_CHECK
 
 
 def _emit_check_line(label: str, ok: bool, fmt: str) -> None:

@@ -334,13 +334,18 @@ class Octonion:
         """The two-sided multiplicative inverse, conjugate / norm_sq.
 
         On the float backend a squared norm beyond the binary64 range raises
-        NonFiniteError: dividing by it would round the inverse towards zero.
+        NonFiniteError: one that overflows would round the inverse towards
+        zero, and a nonzero one that underflows to 0 cannot be divided by.
         """
         v, d = self._v, self._d
         if d is None:
             n2 = self.norm_sq()
             if not n2:
-                raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
+                if not self:
+                    raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
+                raise NonFiniteError(
+                    f"the squared norm of operand {self} underflows binary64 to 0"
+                )
             if not math.isfinite(n2):
                 raise NonFiniteError(
                     f"the squared norm of operand {self} is beyond the binary64 range"

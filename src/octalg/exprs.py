@@ -19,16 +19,12 @@ reserved literals and cannot be bound.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Union
 
 from .core import EXACT, Octonion
 from .errors import ParseError, ReservedIdentifierError, UnboundVariableError
-from .textform import UNIT_NAMES, format_octonion, scan_octonion
-
-_IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+from .textform import UNIT_NAMES, WORD_RE, format_octonion, scan_octonion
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class Environment:
             raise ReservedIdentifierError(
                 f"{name!r} is a reserved unit name and cannot be bound"
             )
-        if not _IDENTIFIER_RE.match(name):
+        if not WORD_RE.fullmatch(name):
             raise ValueError(f"invalid identifier {name!r}")
         self._bindings[name] = value
 
@@ -130,7 +126,7 @@ def _tokenize(source: str, backend: str) -> list[_Token]:
             tokens.append(_Token("LITERAL", i, source[i:end], value))
             i = end
             continue
-        word = _WORD_RE.match(source, i)
+        word = WORD_RE.match(source, i)
         if word:
             name = word.group(0)
             if name in UNIT_NAMES:

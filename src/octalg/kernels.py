@@ -78,15 +78,18 @@ def norm_squared(a: np.ndarray) -> np.ndarray:
 def inverse(a: np.ndarray) -> np.ndarray:
     """Row-wise inverses.
 
-    A zero row raises ZeroInverseError and a row whose squared norm is not
-    finite raises NonFiniteError, each naming the row, as the scalar
-    `Octonion.inverse` does.
+    A zero row raises ZeroInverseError, and a row whose squared norm is not
+    finite, or underflows to 0 from nonzero coefficients, raises
+    NonFiniteError, each naming the row, as the scalar `Octonion.inverse` does.
     """
+    a = _as_batch(a)
     with np.errstate(over="ignore", invalid="ignore"):
         n2 = norm_squared(a)
     if np.any(n2 == 0.0):
         row = int(np.argmax(n2 == 0.0))
-        raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
+        if not a[row].any():
+            raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
+        raise NonFiniteError(f"the squared norm of row {row} underflows binary64 to 0")
     finite = np.isfinite(n2)
     if not finite.all():
         row = int(np.argmin(finite))

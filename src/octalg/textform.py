@@ -23,7 +23,7 @@ from fractions import Fraction
 from .core import DIM, EXACT, FLOAT, Octonion, Scalar
 from .errors import NonFiniteError, ParseError
 
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
 
 UNIT_NAMES = {f"e{k}": k for k in range(DIM)}
@@ -36,7 +36,7 @@ def _skip_ws(text: str, i: int) -> int:
 
 
 def _scan_word(text: str, i: int) -> str | None:
-    m = _WORD_RE.match(text, i)
+    m = WORD_RE.match(text, i)
     return m.group(0) if m else None
 
 

@@ -149,6 +149,16 @@ class TestAssociator:
         assert out == ""
         assert "binary64" in err
 
+    def test_underflowing_norm_is_not_a_zero_operand(self, capsys):
+        tiny = "0." + "0" * 169 + "1"  # nonzero; its squared norm underflows to 0
+        code, out, err = run_cli(
+            capsys, "associator", "--backend", "float", tiny, "e2", "e4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "underflows binary64" in err
+        assert "zero octonion" not in err
+
     def test_non_finite_operand_refused(self, capsys):
         huge = "1" + "0" * 400 + ".0e1"
         code, out, err = run_cli(
@@ -212,6 +222,17 @@ class TestOrders:
         assert code == 2
         assert "verify" not in out
         assert "binary64" in err
+
+    def test_underflowing_matrix_norm_refused(self, capsys):
+        # Each factor is nonzero, and so is every product, but the products'
+        # squared norms underflow to 0.
+        tiny = "0." + "0" * 99 + "1"
+        code, out, err = run_cli(
+            capsys, "orders", tiny, tiny, "e4", "--matrix", "--backend", "float"
+        )
+        assert code == 2
+        assert "verify" not in out and "diagonal" not in out
+        assert "underflows binary64" in err
 
     @pytest.mark.parametrize("coefficient", [0, 5], ids=["diagonal", "off-diagonal"])
     def test_matrix_verification_can_fail(self, capsys, monkeypatch, coefficient):

@@ -127,6 +127,14 @@ class TestSpecifiedExamples:
         with pytest.raises(NonFiniteError, match="binary64"):
             Octonion([1e200] + [0.0] * 7).inverse()
 
+    def test_inverse_with_underflowing_norm(self):
+        # 1e-170 is nonzero; its square underflows to 0, so this is not a
+        # zero octonion but a value the float backend cannot invert.
+        with pytest.raises(NonFiniteError, match="underflows binary64"):
+            Octonion([1e-170] + [0.0] * 7).inverse()
+        with pytest.raises(ZeroInverseError):
+            Octonion([-0.0] * 8).inverse()
+
     def test_equals(self):
         x = Octonion.parse("1 - e3")
         assert x.equals(x, 0)

@@ -62,6 +62,12 @@ class TestAgainstScalarBackend:
             with pytest.raises(NonFiniteError, match="row 1"):
                 kernels.inverse(ax)
 
+    def test_inverse_rejects_underflowing_norm(self, rng):
+        _, ax = _batch(rng, 4, nonzero=True)
+        ax[2] = [1e-170] + [0.0] * 7  # nonzero, but its square underflows to 0
+        with pytest.raises(NonFiniteError, match="row 2 underflows binary64"):
+            kernels.inverse(ax)
+
 
 class TestShapeHandling:
     def test_rejects_wrong_shape(self):
