@@ -33,7 +33,7 @@ from .brackets import (
     multiplicative_associator,
     multiplicative_commutator,
 )
-from .checks import run_checks
+from .checks import _eq, run_checks
 from .core import (
     DEFAULT_FLOAT_TOLERANCE,
     EXACT,
@@ -202,7 +202,7 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
             right = evaluate(right_comb(len(values)), values)
         except (ZeroInverseError, UnboundVariableError, BackendMismatchError):
             continue
-        if not left.equals(right, tolerance):
+        if not _eq(left, right, tolerance):
             print(
                 "warning: the grouping changes the value here:", file=sys.stderr
             )
@@ -218,7 +218,7 @@ def _cmd_commutator(args, tolerance) -> int:
         return EXIT_OK
     c = multiplicative_commutator(x, y)
     _emit_value(c, args.fmt)
-    ok = ((x * y) * c).equals(y * x, tolerance)
+    ok = _eq((x * y) * c, y * x, tolerance)
     _emit_check_line("(x*y)*c = y*x", ok, args.fmt)
     return EXIT_OK if ok else EXIT_CHECK
 
@@ -232,8 +232,8 @@ def _cmd_associator(args, tolerance) -> int:
         return EXIT_OK
     a = multiplicative_associator(x, y, z)
     _emit_value(a, args.fmt)
-    forward = (((x * y) * z) * a).equals(x * (y * z), tolerance)
-    backward = ((x * y) * z).equals((x * (y * z)) * a.conjugate(), tolerance)
+    forward = _eq(((x * y) * z) * a, x * (y * z), tolerance)
+    backward = _eq((x * y) * z, (x * (y * z)) * a.conjugate(), tolerance)
     _emit_check_line("((x*y)*z)*a = x*(y*z)", forward, args.fmt)
     _emit_check_line("(x*y)*z = (x*(y*z))*a~", backward, args.fmt)
     return EXIT_OK if forward and backward else EXIT_CHECK

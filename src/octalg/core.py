@@ -123,6 +123,35 @@ def structure_table() -> tuple[tuple, tuple]:
     return _MUL_INDEX, _MUL_SIGN
 
 
+def _product(a, b, out):
+    """Add the product of the 8-sequences ``a`` and ``b`` into ``out`` term by
+    term, in (i, j) table order and skipping no zero, and return ``out``.
+    Lists of numbers and `kernels`' coefficient columns round alike; from a
+    +0.0 start, adding a signed zero never makes a sum -0.0."""
+    for ai, row_index, row_sign in zip(a, _MUL_INDEX, _MUL_SIGN):
+        for bj, k, sign in zip(b, row_index, row_sign):
+            if sign == 1:
+                out[k] += ai * bj
+            else:
+                out[k] -= ai * bj
+    return out
+
+
+def _sum_of_squares(v):
+    """``v[0]*v[0] + v[1]*v[1] + ...`` in coefficient order, numbers or columns."""
+    acc = v[0] * v[0]
+    for x in v[1:]:
+        acc = acc + x * x
+    return acc
+
+
+def _norm_range_error(n2: float, what: str) -> NonFiniteError:
+    """The error for a nonzero float value, named by ``what``, whose squared
+    norm ``n2`` is 0 or not finite: it left the binary64 range."""
+    problem = "underflows binary64 to 0" if n2 == 0.0 else "is beyond the binary64 range"
+    return NonFiniteError(f"the squared norm of {what} {problem}")
+
+
 def cayley_dickson_product(u: Iterable[Scalar], v: Iterable[Scalar]) -> tuple:
     """Multiply two length-8 coefficient tuples directly by the recursive
     doubling rule, bypassing the derived table.  Slow; used to cross-check
@@ -286,22 +315,10 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._require_same_backend(other)
-            d = self._d
-            # One loop for both backends, in the (i, j) order of
-            # kernels.multiply, so float products agree with it bit for bit.
-            out = [0.0] * DIM if d is None else [0] * DIM
-            b = other._v
-            for ai, row_index, row_sign in zip(self._v, _MUL_INDEX, _MUL_SIGN):
-                if not ai:
-                    continue
-                for bj, k, sign in zip(b, row_index, row_sign):
-                    if not bj:
-                        continue
-                    if sign == 1:
-                        out[k] += ai * bj
-                    else:
-                        out[k] -= ai * bj
-            return _new(out, None if d is None else d * other._d)
+            # kernels.multiply runs this _product on columns: bit-for-bit parity.
+            if self._d is None:
+                return _new(_product(self._v, other._v, [0.0] * DIM), None)
+            return _new(_product(self._v, other._v, [0] * DIM), self._d * other._d)
         if isinstance(other, (int, float, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -322,13 +339,9 @@ class Octonion:
         Multiplicative: norm_sq(x*y) == norm_sq(x) * norm_sq(y), exactly on
         the exact backend, where the value is a Fraction.
         """
-        v, d = self._v, self._d
-        if d is not None:
-            return Fraction(sum(n * n for n in v), d * d)
-        acc = v[0] * v[0]
-        for x in v[1:]:
-            acc = acc + x * x
-        return acc
+        d = self._d
+        n2 = _sum_of_squares(self._v)
+        return n2 if d is None else Fraction(n2, d * d)
 
     def inverse(self) -> "Octonion":
         """The two-sided multiplicative inverse, conjugate / norm_sq.
@@ -340,19 +353,13 @@ class Octonion:
         v, d = self._v, self._d
         if d is None:
             n2 = self.norm_sq()
-            if not n2:
+            if not 0.0 < n2 < math.inf:
                 if not self:
                     raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
-                raise NonFiniteError(
-                    f"the squared norm of operand {self} underflows binary64 to 0"
-                )
-            if not math.isfinite(n2):
-                raise NonFiniteError(
-                    f"the squared norm of operand {self} is beyond the binary64 range"
-                )
+                raise _norm_range_error(n2, f"operand {self}")
             return _new([x / n2 for x in self.conjugate()._v], None)
         # conj(v)/d divided by sum(v^2)/d^2 is conj(v)*d / sum(v^2).
-        s = sum(n * n for n in v)
+        s = _sum_of_squares(v)
         if not s:
             raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
         return _new([v[0] * d] + [-n * d for n in v[1:]], s)

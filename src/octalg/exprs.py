@@ -83,9 +83,6 @@ class Environment:
         except KeyError:
             raise UnboundVariableError(name) from None
 
-    def names(self) -> list[str]:
-        return sorted(self._bindings)
-
 
 # -- tokenizer -------------------------------------------------------------
 

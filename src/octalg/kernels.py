@@ -5,8 +5,8 @@ coefficient arrays, from its computation through its verification.  This
 is the only module of the package that imports numpy, so exact-backend
 callers never load it.
 
-Every kernel accumulates coefficients in the same index order as the
-scalar float backend, so the two paths agree bit for bit.
+`multiply` and `norm_squared` run `core._product` and `core._sum_of_squares`
+on coefficient columns, so they agree with the scalar backend bit for bit.
 """
 
 from __future__ import annotations
@@ -15,12 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Octonion, structure_table
-from .errors import NonFiniteError, ZeroInverseError
+from .core import Octonion, _norm_range_error, _product, _sum_of_squares
+from .errors import ZeroInverseError
 
-_index_rows, _sign_rows = structure_table()
-MUL_INDEX = np.array(_index_rows, dtype=np.int64)
-MUL_SIGN = np.array(_sign_rows, dtype=np.float64)
 _ONE = np.array([1.0] + [0.0] * 7)
 _CONJUGATE_SIGN = np.array([1.0] + [-1.0] * 7)
 
@@ -44,11 +41,8 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
     out = np.zeros_like(a)
-    # Accumulation runs in (i, j) order so each output coefficient receives
-    # its terms in the same sequence as the scalar float backend.
-    for i in range(8):
-        for j in range(8):
-            out[:, MUL_INDEX[i, j]] += MUL_SIGN[i, j] * (a[:, i] * b[:, j])
+    # The columns of out.T are views, so _product's += writes into out.
+    _product(a.T, b.T, list(out.T))
     return out
 
 
@@ -67,33 +61,27 @@ def conjugate(a: np.ndarray) -> np.ndarray:
 
 
 def norm_squared(a: np.ndarray) -> np.ndarray:
-    """Row-wise squared norms, summed in coefficient order."""
-    a = _as_batch(a)
-    acc = a[:, 0] * a[:, 0]
-    for k in range(1, 8):
-        acc = acc + a[:, k] * a[:, k]
-    return acc
+    """Row-wise squared norms, summed in coefficient order; one beyond the
+    binary64 range reads inf without a warning, as `Octonion.norm_sq` does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sum_of_squares(_as_batch(a).T)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
     """Row-wise inverses.
 
-    A zero row raises ZeroInverseError, and a row whose squared norm is not
-    finite, or underflows to 0 from nonzero coefficients, raises
-    NonFiniteError, each naming the row, as the scalar `Octonion.inverse` does.
+    The first row that has no inverse is named in the error, as the scalar
+    `Octonion.inverse` names its operand: ZeroInverseError for a zero row,
+    NonFiniteError for one whose squared norm is not finite or underflows to 0.
     """
     a = _as_batch(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        n2 = norm_squared(a)
-    if np.any(n2 == 0.0):
-        row = int(np.argmax(n2 == 0.0))
+    n2 = norm_squared(a)
+    invertible = (n2 > 0.0) & (n2 < np.inf)
+    if not invertible.all():
+        row = int(np.argmin(invertible))
         if not a[row].any():
             raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
-        raise NonFiniteError(f"the squared norm of row {row} underflows binary64 to 0")
-    finite = np.isfinite(n2)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise NonFiniteError(f"the squared norm of row {row} is beyond the binary64 range")
+        raise _norm_range_error(n2[row], f"row {row}")
     return conjugate(a) / n2[:, None]
 
 

@@ -15,11 +15,12 @@ the left first.  For n = 4 this yields, in order:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .core import EXACT, FLOAT, Octonion, Scalar, _new, require_tolerance
+from .core import EXACT, FLOAT, Octonion, Scalar, _new, _norm_range_error, require_tolerance
 from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
@@ -226,10 +227,15 @@ def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
 
 
 def _entries_float(products: list[Octonion]):
-    """Batched float path; agrees with the scalar loop bit for bit."""
+    """Batched float path, bit for bit the scalar formulas run on columns.
+    The factors are nonzero, so a product whose squared norm is 0 or not
+    finite left the binary64 range: NonFiniteError names its 1-based order."""
     from . import kernels
 
     p = kernels.from_octonions(products)
+    for k, n2 in enumerate(kernels.norm_squared(p).tolist(), start=1):
+        if not 0.0 < n2 < math.inf:
+            raise _norm_range_error(n2, f"the product under order {k}")
     flat = kernels.pairwise_products(kernels.inverse(p), p)
     flat.flags.writeable = False
     return flat

@@ -12,6 +12,10 @@ from octalg.cli import main
 from tests.strategies import perturbed
 
 
+# Commutator and associator operands whose compared products reach 1e9.
+LARGE_OPERANDS = ("1000+999e1+3e5", "1000e2+7e3-13e6", "1000e3+11e7+5")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -50,6 +54,17 @@ class TestEval:
         assert code == 0
         assert "groups to the left" in err
         assert "left-to-right" not in err
+
+    def test_float_chain_compares_at_the_scaled_tolerance(self, capsys):
+        # (x*y)*x = x*(y*x) holds; at magnitude 2e9 the two groupings differ
+        # by 2.4e-7, about 1 ulp, which is no change of value.
+        code, _, err = run_cli(
+            capsys, "eval", "x*y*x", "--backend", "float",
+            "--let", "x=1000.1+999.3e1+3.7e5", "--let", "y=1000.3e2+7.1e3-13.9e6",
+        )
+        assert code == 0
+        assert "groups to the left" in err
+        assert "changes the value" not in err
 
     def test_no_warning_with_explicit_parens(self, capsys):
         code, _, err = run_cli(capsys, "eval", "(e1*e2)*e4")
@@ -123,6 +138,14 @@ class TestCommutator:
         code, _, err = run_cli(capsys, "commutator", "0", "e2")
         assert code == 2
 
+    def test_float_verdict_scales_with_magnitude(self, capsys):
+        # The compared sides reach 1e9; their roundoff is about 1 ulp there.
+        code, out, _ = run_cli(
+            capsys, "commutator", "--backend", "float", *LARGE_OPERANDS[:2]
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "(x*y)*c = y*x: OK"
+
 
 class TestAssociator:
     def test_multiplicative_with_verification(self, capsys):
@@ -148,6 +171,17 @@ class TestAssociator:
         assert code == 2
         assert out == ""
         assert "binary64" in err
+
+    def test_float_verdicts_scale_with_magnitude(self, capsys):
+        # The compared sides reach 1e9; their roundoff is about 1 ulp there.
+        code, out, _ = run_cli(
+            capsys, "associator", "--backend", "float", *LARGE_OPERANDS
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "((x*y)*z)*a = x*(y*z): OK",
+            "(x*y)*z = (x*(y*z))*a~: OK",
+        ]
 
     def test_underflowing_norm_is_not_a_zero_operand(self, capsys):
         tiny = "0." + "0" * 169 + "1"  # nonzero; its squared norm underflows to 0
@@ -233,6 +267,24 @@ class TestOrders:
         assert code == 2
         assert "verify" not in out and "diagonal" not in out
         assert "underflows binary64" in err
+
+    @pytest.mark.parametrize(
+        "factor, problem",
+        [
+            ("0." + "0" * 199 + "1", "underflows binary64 to 0"),
+            ("1" + "0" * 160 + ".0", "is beyond the binary64 range"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_matrix_names_the_failing_order(self, capsys, factor, problem):
+        # Both factors are nonzero; their product leaves the binary64 range.
+        code, out, err = run_cli(
+            capsys, "orders", factor, factor, "1", "--matrix", "--backend", "float"
+        )
+        assert code == 2
+        assert "diagonal" not in out
+        assert f"product under order 1 {problem}" in err
+        assert "row 0" not in err and "zero octonion" not in err
 
     @pytest.mark.parametrize("coefficient", [0, 5], ids=["diagonal", "off-diagonal"])
     def test_matrix_verification_can_fail(self, capsys, monkeypatch, coefficient):

@@ -17,13 +17,50 @@ def _batch(rng, n, nonzero=False):
     return values, kernels.from_octonions(values)
 
 
+def _hex(values):
+    """Bit patterns of floats: unlike ==, tells -0.0 from 0.0 and NaN equal to NaN."""
+    return [float.hex(float(v)) for v in values]
+
+
+def _edge_operands(rng):
+    """Signed zeros, subnormals, near-overflow and overflowed coefficients."""
+    overflowed = Octonion([1e200, 1e200] + [0.0] * 6)
+    return [
+        Octonion([0.0, -0.0, 1.0, -1.0, 0.0, 2.5, -0.0, 0.0]),
+        Octonion([-0.0] * 8),
+        Octonion([5e-324, -1e-310, 1e-300, 0.0, -2.2e-308, 1.0, -0.0, 3e-320]),
+        Octonion([1e154, -1e154, 0.0, 1e154, -0.0, 1.0, 1e154, -1e154]),
+        overflowed * overflowed,  # inf and NaN coefficients from overflow
+        Octonion.unit(1, "float"),
+        random_octonion(rng, backend="float"),
+    ]
+
+
 class TestAgainstScalarBackend:
     def test_multiply(self, rng):
         xs, ax = _batch(rng, 64)
         ys, ay = _batch(rng, 64)
         out = kernels.multiply(ax, ay)
         for row, x, y in zip(out, xs, ys):
-            assert tuple(row) == (x * y).c  # bitwise, same accumulation order
+            assert _hex(row) == _hex((x * y).c)
+
+    def test_multiply_bitwise_on_edge_values(self, rng):
+        # Every ordered pair, so each edge operand appears on both sides.
+        values = _edge_operands(rng)
+        pairs = [(x, y) for x in values for y in values]
+        with np.errstate(all="ignore"):
+            out = kernels.multiply(
+                kernels.from_octonions([x for x, _ in pairs]),
+                kernels.from_octonions([y for _, y in pairs]),
+            )
+        for row, (x, y) in zip(out, pairs):
+            assert _hex(row) == _hex((x * y).c), (x, y)
+
+    def test_norm_squared_bitwise_on_edge_values(self, rng):
+        values = _edge_operands(rng)
+        with np.errstate(all="ignore"):
+            norms = kernels.norm_squared(kernels.from_octonions(values))
+        assert _hex(norms) == _hex(x.norm_sq() for x in values)
 
     def test_pairwise_products(self, rng):
         xs, ax = _batch(rng, 5)
