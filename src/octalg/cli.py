@@ -17,14 +17,17 @@ coefficients; matrix entries are ``i<TAB>j<TAB>coefficients`` lines with
 1-based indices.
 
 Exit codes: 0 success, 1 usage or syntax error, 2 evaluation error (zero
-inverse, unbound variable, a float literal or a squared norm beyond the
-binary64 range), 3 identity-check failure, which the exact backend should
-never produce.
+inverse, unbound variable, a float literal, result, product or squared
+norm beyond the binary64 range), 3 identity-check failure, which the exact
+backend should never produce.  A float result is never printed with a
+coefficient that is not finite, nor a product of nonzero factors that
+underflowed to 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .brackets import (
@@ -162,9 +165,16 @@ def _resolve_tolerance(args) -> float:
     return args.tolerance
 
 
-def _emit_value(value: Octonion, fmt: str, key: str = "result") -> None:
+def _require_finite(value: Octonion, what: str) -> None:
+    """NonFiniteError unless every coefficient of ``value`` is finite."""
+    if value.backend == FLOAT and not all(map(math.isfinite, value.c)):
+        raise NonFiniteError(f"{what} is beyond the binary64 range")
+
+
+def _emit_value(value: Octonion, fmt: str) -> None:
+    _require_finite(value, "the result")
     if fmt == "machine":
-        print(f"{key}\t{format_coefficients(value)}")
+        print(f"result\t{format_coefficients(value)}")
     else:
         print(format_octonion(value))
 
@@ -252,7 +262,10 @@ def _cmd_orders(args, tolerance) -> int:
     factors = [parse_octonion(text, args.backend) for text in args.factors]
     n = len(factors)
     trees = enumerate_trees(n)
-    orders = zip(trees, tree_products(factors))
+    products = tree_products(factors)
+    if args.backend == FLOAT:
+        _require_representable_products(factors, products)
+    orders = zip(trees, products)
     labels = [f"x{k}" for k in range(1, n + 1)]
     if args.fmt == "machine":
         print(f"n\t{n}")
@@ -277,6 +290,17 @@ def _cmd_orders(args, tolerance) -> int:
     _emit_check_line("diagonal all 1", diagonal_ok, args.fmt)
     _emit_check_line("entry(j,i) = entry(i,j)~", symmetry_ok, args.fmt)
     return EXIT_OK if diagonal_ok and symmetry_ok else EXIT_CHECK
+
+
+def _require_representable_products(factors, products) -> None:
+    """NonFiniteError naming the first float product, by its 1-based order,
+    that left the binary64 range: a coefficient that is not finite, or, when
+    every factor is nonzero, a product that underflowed to exactly 0."""
+    factors_nonzero = all(factors)
+    for k, p in enumerate(products, start=1):
+        _require_finite(p, f"the product under order {k}")
+        if factors_nonzero and not p:
+            raise NonFiniteError(f"the product under order {k} underflows binary64 to 0")
 
 
 def _cmd_check(args, tolerance) -> int:

@@ -18,10 +18,14 @@ octonions) with the pair rule
 so the basis products are a consequence of the construction rather than a
 64-entry constant to trust.  Basis order: ``e0`` is the real unit,
 ``e1..e3`` span the quaternion sublevel, ``e4..e7`` the doubled half.
+
+The product is generated from that derived table at import time, as
+straight-line source of 8 signed sums, rather than interpreted per call.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from fractions import Fraction
 from math import gcd, lcm
@@ -123,18 +127,52 @@ def structure_table() -> tuple[tuple, tuple]:
     return _MUL_INDEX, _MUL_SIGN
 
 
-def _product(a, b, out):
-    """Add the product of the 8-sequences ``a`` and ``b`` into ``out`` term by
-    term, in (i, j) table order and skipping no zero, and return ``out``.
-    Lists of numbers and `kernels`' coefficient columns round alike; from a
-    +0.0 start, adding a signed zero never makes a sum -0.0."""
-    for ai, row_index, row_sign in zip(a, _MUL_INDEX, _MUL_SIGN):
-        for bj, k, sign in zip(b, row_index, row_sign):
-            if sign == 1:
-                out[k] += ai * bj
-            else:
-                out[k] -= ai * bj
-    return out
+def _product_terms() -> tuple:
+    """For each output coefficient k, its signed terms ``(sign, i, j)`` of
+    ``a_i * b_j``, in i order: one per table entry with ``index[i][j] == k``."""
+    terms = [[] for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(DIM):
+            terms[_MUL_INDEX[i][j]].append((_MUL_SIGN[i][j], i, j))
+    return tuple(tuple(t) for t in terms)
+
+
+_PRODUCT_FILENAME = "<octalg.core generated _product>"
+
+
+def _compile_product(terms, filename: str = _PRODUCT_FILENAME):
+    """Generate ``_product(a, b, z)`` from ``terms``: straight-line code that
+    unpacks both 8-sequences and returns the 8 sums ``z ± a_i*b_j ± ...``,
+    each evaluated left to right in the order of its terms.
+
+    The source is registered in `linecache` under ``filename``, so
+    tracebacks, profilers and `inspect.getsource` show the generated lines.
+    """
+    lines = [
+        "def _product(a, b, z):",
+        f"    {', '.join(f'a{i}' for i in range(DIM))} = a",
+        f"    {', '.join(f'b{j}' for j in range(DIM))} = b",
+        "    return [",
+    ]
+    for k, row in enumerate(terms):
+        body = "".join(
+            f" {'+' if sign == 1 else '-'} a{i}*b{j}" for sign, i, j in row
+        )
+        lines.append(f"        z{body},  # e{k}")
+    lines.append("    ]")
+    source = "\n".join(lines) + "\n"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_product"]
+
+
+# The product of the 8-sequences ``a`` and ``b`` as a list of 8 sums, the
+# only product formula of the package.  Each sum starts from the caller's
+# zero ``z`` (0 on exact, 0.0 on float): from +0.0, adding a signed zero
+# never makes a sum -0.0.  Lists of numbers and `kernels`' coefficient
+# columns evaluate the same ordered sums, so they round alike.
+_product = _compile_product(_product_terms())
 
 
 def _sum_of_squares(v):
@@ -315,10 +353,11 @@ class Octonion:
     def __mul__(self, other):
         if isinstance(other, Octonion):
             self._require_same_backend(other)
-            # kernels.multiply runs this _product on columns: bit-for-bit parity.
+            # The product generated from the derived table; kernels.multiply
+            # runs it on columns, so the two agree bit for bit.
             if self._d is None:
-                return _new(_product(self._v, other._v, [0.0] * DIM), None)
-            return _new(_product(self._v, other._v, [0] * DIM), self._d * other._d)
+                return _new(_product(self._v, other._v, 0.0), None)
+            return _new(_product(self._v, other._v, 0), self._d * other._d)
         if isinstance(other, (int, float, Fraction)):
             return self._scaled(other)
         return NotImplemented

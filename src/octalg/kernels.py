@@ -5,8 +5,10 @@ coefficient arrays, from its computation through its verification.  This
 is the only module of the package that imports numpy, so exact-backend
 callers never load it.
 
-`multiply` and `norm_squared` run `core._product` and `core._sum_of_squares`
-on coefficient columns, so they agree with the scalar backend bit for bit.
+`multiply` runs `core._product`, the product generated from the derived
+table, on coefficient columns, and `norm_squared` runs
+`core._sum_of_squares` on them; each output column is the same ordered
+sum the scalar backend computes, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_batch(b)
     if a.shape != b.shape:
         raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    out = np.zeros_like(a)
-    # The columns of out.T are views, so _product's += writes into out.
-    _product(a.T, b.T, list(out.T))
-    return out
+    # The rows of a.T and b.T are coefficient columns.
+    return np.stack(_product(a.T, b.T, 0.0), axis=1)
 
 
 def pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

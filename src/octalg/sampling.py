@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from .core import EXACT, FLOAT, Octonion
+from .core import DIM, EXACT, FLOAT, Octonion, _new
 
 DEFAULT_SEED = 12345
 
@@ -30,11 +31,23 @@ def random_scalar(rng: random.Random, backend: str = EXACT, nonzero: bool = Fals
 
 def random_octonion(rng: random.Random, backend: str = EXACT, nonzero: bool = False) -> Octonion:
     """One random octonion; with nonzero=True, zero draws are rejected and
-    redrawn (needed whenever an inverse will be taken)."""
+    redrawn (needed whenever an inverse will be taken).
+
+    Each coefficient draws as `random_scalar` does, numerator then
+    denominator, and the value is built from the draws without a Fraction.
+    """
+    randint = rng.randint
     while True:
-        value = Octonion([random_scalar(rng, backend) for _ in range(8)])
-        if value or not nonzero:
-            return value
+        draws = [
+            (randint(*NUMERATOR_RANGE), randint(*DENOMINATOR_RANGE)) for _ in range(DIM)
+        ]
+        if not nonzero or any(p for p, _ in draws):
+            break
+    if backend == FLOAT:
+        # int / int is correctly rounded, as float(Fraction(p, q)) is.
+        return _new([p / q for p, q in draws], None)
+    d = lcm(*(q for _, q in draws))
+    return _new([p * (d // q) for p, q in draws], d)
 
 
 _WORD_LETTERS = ("x", "y", "x~", "y~", "x^-1", "y^-1", "scalar")

@@ -15,6 +15,11 @@ from tests.strategies import perturbed
 # Commutator and associator operands whose compared products reach 1e9.
 LARGE_OPERANDS = ("1000+999e1+3e5", "1000e2+7e3-13e6", "1000e3+11e7+5")
 
+# Finite binary64 values whose products leave the range: 1e400 overflows,
+# 1e-400 underflows to 0.
+HUGE = "1" + "0" * 200 + ".0"
+TINY = "0." + "0" * 199 + "1"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -120,6 +125,14 @@ class TestEval:
         assert code == 0
         assert out == "result\t0.5,0.0,0.0,-0.125,0.0,0.0,0.0,0.0\n"
 
+    def test_overflowed_float_result_is_eval_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--backend", "float", "x*x", "--let", f"x={HUGE}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "the result is beyond the binary64 range" in err
+
 
 class TestCommutator:
     def test_multiplicative_default(self, capsys):
@@ -145,6 +158,15 @@ class TestCommutator:
         )
         assert code == 0
         assert out.splitlines()[1] == "(x*y)*c = y*x: OK"
+
+    def test_nan_additive_result_is_eval_error(self, capsys):
+        # x*y and y*x both overflow to inf; their difference is NaN.
+        code, out, err = run_cli(
+            capsys, "commutator", "--backend", "float", "--additive", HUGE, f"{HUGE}+e1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "the result is beyond the binary64 range" in err
 
 
 class TestAssociator:
@@ -285,6 +307,24 @@ class TestOrders:
         assert "diagonal" not in out
         assert f"product under order 1 {problem}" in err
         assert "row 0" not in err and "zero octonion" not in err
+
+    @pytest.mark.parametrize(
+        "factor, problem",
+        [(TINY, "underflows binary64 to 0"), (HUGE, "is beyond the binary64 range")],
+        ids=["underflow", "overflow"],
+    )
+    def test_listing_names_the_failing_order(self, capsys, factor, problem):
+        # Both factors are nonzero, so a zero product is an underflow; nothing
+        # is listed once any product has left the binary64 range.
+        code, out, err = run_cli(capsys, "orders", factor, factor, "1", "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert f"the product under order 1 {problem}" in err
+
+    def test_listing_keeps_the_zero_product_of_a_zero_factor(self, capsys):
+        code, out, _ = run_cli(capsys, "orders", TINY, TINY, "0", "--backend", "float")
+        assert code == 0
+        assert "  1: x1*(x2*x3) = 0" in out.splitlines()
 
     @pytest.mark.parametrize("coefficient", [0, 5], ids=["diagonal", "off-diagonal"])
     def test_matrix_verification_can_fail(self, capsys, monkeypatch, coefficient):

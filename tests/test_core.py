@@ -1,9 +1,14 @@
 """Core arithmetic: the derived multiplication table against a hand oracle,
 and the algebra laws the rest of the package leans on."""
 
+import inspect
+import random
+import re
+import traceback
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +21,8 @@ from octalg import (
     ZeroInverseError,
     cayley_dickson_product,
     checks,
+    core,
+    kernels,
     structure_table,
 )
 
@@ -90,6 +97,96 @@ class TestMultiplicationTable:
         assert lhs != rhs
         assert lhs == unit(7)
         assert rhs == -unit(7)
+
+
+def _loop_product(a, b):
+    """The product as a nested loop over `structure_table`, accumulating each
+    term into its output coefficient in (i, j) order from a +0.0 start."""
+    index, sign = structure_table()
+    out = [0.0] * 8
+    for i in range(8):
+        for j in range(8):
+            if sign[i][j] == 1:
+                out[index[i][j]] += a[i] * b[j]
+            else:
+                out[index[i][j]] -= a[i] * b[j]
+    return out
+
+
+def _hex(values):
+    """Bit patterns of floats: tells -0.0 from 0.0, and NaN equals NaN."""
+    return [float.hex(float(v)) for v in values]
+
+
+def _float_edge_operands():
+    """Signed zeros, subnormals, +-1e154 (products near the overflow
+    threshold), an operand holding inf and NaN from overflow times e1, and
+    full-precision values whose sums round differently in another order."""
+    big = Octonion([1e200] + [0.0] * 7)
+    rng = random.Random("generated-product")
+    return [
+        Octonion([0.0, -0.0, 1.0, -1.0, 0.0, 2.5, -0.0, 0.0]),
+        Octonion([-0.0] * 8),
+        Octonion([5e-324, -1e-310, 1e-300, 0.0, -2.2e-308, 1.0, -0.0, 3e-320]),
+        Octonion([1e154, -1e154, 0.0, 1e154, -0.0, 1.0, 1e154, -1e154]),
+        Octonion([-1e154, 1e154, 1e154, -1e154, 1e154, 0.0, -1e154, 1e154]),
+        (big * big) * Octonion.unit(1, "float"),
+    ] + [Octonion([rng.uniform(-9.0, 9.0) for _ in range(8)]) for _ in range(5)]
+
+
+def _edge_pairs():
+    values = _float_edge_operands()
+    return [(x, y) for x in values for y in values]
+
+
+class TestGeneratedProduct:
+    """The product is generated from the derived table; the nested loop it
+    replaced, restated above, is the oracle for its terms and their order."""
+
+    def test_scalar_product_matches_the_loop_bitwise(self):
+        for x, y in _edge_pairs():
+            assert _hex((x * y).c) == _hex(_loop_product(x.c, y.c)), (x, y)
+
+    def test_kernel_product_matches_the_loop_bitwise(self):
+        pairs = _edge_pairs()
+        with np.errstate(all="ignore"):
+            out = kernels.multiply(
+                kernels.from_octonions([x for x, _ in pairs]),
+                kernels.from_octonions([y for _, y in pairs]),
+            )
+            for row, (x, y) in zip(out, pairs):
+                assert _hex(row) == _hex(_loop_product(x.c, y.c)), (x, y)
+
+    def test_source_names_each_table_entry_once(self):
+        source = inspect.getsource(core._product)
+        assert source.startswith("def _product(a, b, z):\n")
+        pairs = re.findall(r"a(\d)\*b(\d)", source)
+        assert sorted(pairs) == [(str(i), str(j)) for i in range(8) for j in range(8)]
+
+    def test_every_swap_of_adjacent_terms_is_caught(self):
+        # Negative control: swapping terms p and p+1 of any output changes
+        # some rounding on the edge operands.  Only the first two terms are
+        # exempt: after the +0.0 start they commute exactly.
+        pairs = _edge_pairs()
+        expected = [_hex(_loop_product(x.c, y.c)) for x, y in pairs]
+        for k in range(8):
+            for p in range(1, 7):
+                terms = list(core._product_terms())
+                row = list(terms[k])
+                row[p], row[p + 1] = row[p + 1], row[p]
+                terms[k] = tuple(row)
+                swapped = core._compile_product(terms, "<test swapped product>")
+                assert any(
+                    _hex(swapped(x.c, y.c, 0.0)) != want
+                    for (x, y), want in zip(pairs, expected)
+                ), (k, p)
+
+    def test_traceback_shows_the_generated_line(self):
+        with pytest.raises(TypeError) as info:
+            core._product(None, None, 0)
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<octalg.core generated _product>", line 2, in _product' in text
+        assert "a0, a1, a2, a3, a4, a5, a6, a7 = a" in text
 
 
 class TestSpecifiedExamples:
