@@ -165,9 +165,14 @@ def _resolve_tolerance(args) -> float:
     return args.tolerance
 
 
+def _is_finite(value: Octonion) -> bool:
+    """Whether every coefficient of ``value`` is finite (always, on exact)."""
+    return value.backend != FLOAT or all(map(math.isfinite, value.c))
+
+
 def _require_finite(value: Octonion, what: str) -> None:
     """NonFiniteError unless every coefficient of ``value`` is finite."""
-    if value.backend == FLOAT and not all(map(math.isfinite, value.c)):
+    if not _is_finite(value):
         raise NonFiniteError(f"{what} is beyond the binary64 range")
 
 
@@ -211,6 +216,10 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
             left = evaluate(left_comb(len(values)), values)
             right = evaluate(right_comb(len(values)), values)
         except (ZeroInverseError, UnboundVariableError, BackendMismatchError):
+            continue
+        # An overflowed grouping is refused as a result; it says nothing
+        # about whether the grouping matters.
+        if not (_is_finite(left) and _is_finite(right)):
             continue
         if not _eq(left, right, tolerance):
             print(
@@ -265,6 +274,9 @@ def _cmd_orders(args, tolerance) -> int:
     products = tree_products(factors)
     if args.backend == FLOAT:
         _require_representable_products(factors, products)
+    # Built before anything is printed, so an evaluation error leaves no
+    # partial output.
+    matrix = associator_matrix(factors) if args.matrix else None
     orders = zip(trees, products)
     labels = [f"x{k}" for k in range(1, n + 1)]
     if args.fmt == "machine":
@@ -277,10 +289,9 @@ def _cmd_orders(args, tolerance) -> int:
         print(f"{n} factor product, {len(trees)} evaluation order{plural}:")
         for k, (tree, value) in enumerate(orders, start=1):
             print(f"  {k}: {render_tree(tree, labels)} = {format_octonion(value)}")
-    if not args.matrix:
+    if matrix is None:
         return EXIT_OK
 
-    matrix = associator_matrix(factors)
     if args.fmt == "machine":
         print(format_matrix_machine(matrix))
     else:

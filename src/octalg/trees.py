@@ -131,11 +131,20 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     """The product of ``factors`` under every tree of `enumerate_trees`, in
     the same canonical order.
 
-    Interval DP over spans: the products of each span are built once, from
-    the products of its two sub-spans at every split, so each tree of each
-    span costs one multiplication rather than one per internal node.  Every
-    product is computed with the same operands as `evaluate` would use, so
-    float results agree with it bit for bit.
+    Interval DP over spans: the products of each span are built from the
+    products of its two sub-spans at every split, and each distinct pair of
+    sub-span objects is multiplied once per span.  Equal products of a span
+    are then kept as one shared object (safe: an Octonion is immutable), so
+    the spans above see them as one value.  Generic factors merge nothing
+    and cost one multiplication per tree of each span; an exact word in two
+    generators, whose every span has a single value (Artin's theorem),
+    costs (n**3 - n) / 6.
+
+    Every product is computed with the same operands as `evaluate` would
+    use, so float results agree with it bit for bit.  Sharing by equality
+    keeps that: of equal floats only +0.0 and -0.0 differ in bits, and a
+    product never holds -0.0, since each of its sums starts from +0.0; a
+    NaN equals nothing, so a product holding one is never merged.
     """
     n = len(factors)
     _require_enumerable(n)
@@ -146,12 +155,21 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     for width in range(1, n):
         for lo in range(n - width):
             hi = lo + width
-            span[lo][hi] = [
-                left * right
-                for split in range(lo, hi)
-                for left in span[lo][split]
-                for right in span[split + 1][hi]
-            ]
+            # The span's product of each operand pair, and its one object for
+            # each product value.  Every operand is alive in `span`, so its
+            # id() is not reused while these are.
+            by_pair, by_value = {}, {}
+            products = []
+            for split in range(lo, hi):
+                for left in span[lo][split]:
+                    for right in span[split + 1][hi]:
+                        key = (id(left), id(right))
+                        p = by_pair.get(key)
+                        if p is None:
+                            p = left * right
+                            p = by_pair[key] = by_value.setdefault(p, p)
+                        products.append(p)
+            span[lo][hi] = products
     return span[0][n - 1]
 
 

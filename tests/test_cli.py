@@ -71,6 +71,26 @@ class TestEval:
         assert "groups to the left" in err
         assert "changes the value" not in err
 
+    def test_float_chain_whose_groupings_disagree_warns(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "e1*e2*e4", "--backend", "float")
+        assert code == 0
+        assert "the grouping changes the value here" in err
+        assert "left-to-right: e7" in err
+        assert "right-to-left: -e7" in err
+
+    def test_overflowed_chain_does_not_blame_the_grouping(self, capsys):
+        # Both groupings overflow to the same inf and NaN coefficients, which
+        # compare unequal; the result is refused, not the grouping.
+        code, out, err = run_cli(
+            capsys, "eval", "x*y*x", "--backend", "float",
+            "--let", f"x={HUGE}", "--let", f"y={HUGE}+e1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "groups to the left" in err
+        assert "grouping changes" not in err and "left-to-right" not in err
+        assert "the result is beyond the binary64 range" in err
+
     def test_no_warning_with_explicit_parens(self, capsys):
         code, _, err = run_cli(capsys, "eval", "(e1*e2)*e4")
         assert code == 0
@@ -278,6 +298,15 @@ class TestOrders:
         assert code == 2
         assert "verify" not in out
         assert "binary64" in err
+
+    def test_matrix_error_leaves_no_partial_output(self, capsys):
+        # The listed products are finite; the matrix's squared norms are not.
+        code, out, err = run_cli(
+            capsys, "orders", "--backend", "float", f"{HUGE}e1", "e2", "e4", "--matrix"
+        )
+        assert code == 2
+        assert out == ""
+        assert "product under order 1 is beyond the binary64 range" in err
 
     def test_underflowing_matrix_norm_refused(self, capsys):
         # Each factor is nonzero, and so is every product, but the products'

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -22,7 +23,9 @@ from octalg import (
     right_comb,
     tree_products,
 )
-from octalg.sampling import random_octonion
+from octalg import checks, core
+from octalg.brackets import expand_word
+from octalg.sampling import random_octonion, random_scalar
 from octalg.core import DEFAULT_FLOAT_TOLERANCE
 from octalg.textform import format_coefficients
 from octalg.trees import (
@@ -112,27 +115,118 @@ class TestEvaluate:
             evaluate(Node(Leaf(2), Leaf(1)), [ONE, ONE])
 
 
+# A two-generator word with scalar letters, conjugates and inverses; its
+# first n letters are the n-factor word.
+WORD = ["x", Fraction(-3, 2), "y~", "x^-1", "y", "x~", 2, "y^-1"]
+
+
+def _quaternion(rng, backend):
+    """A nonzero value in the span of 1, e1, e2, e3: an associative subalgebra."""
+    while True:
+        q = Octonion([random_scalar(rng) for _ in range(4)] + [0] * 4)
+        if q:
+            return q.as_float() if backend == "float" else q
+
+
+def _factor_sets(rng, backend, n):
+    """Named factor lists with many, some and no equal sub-span products."""
+    x, y = (random_octonion(rng, backend, nonzero=True) for _ in range(2))
+    return {
+        "word": expand_word(WORD[:n], x, y),
+        "repeated": [x] * n,
+        "quaternion": [_quaternion(rng, backend) for _ in range(n)],
+        "generic": [random_octonion(rng, backend, nonzero=True) for _ in range(n)],
+    }
+
+
+def _per_tree(factors):
+    return [evaluate(t, factors) for t in enumerate_trees(len(factors))]
+
+
+def _hexes(products):
+    return [[v.hex() for v in p.c] for p in products]
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """A list whose length is the number of octonion products run so far."""
+    calls = []
+    product = core._product
+
+    def counting(a, b, z):
+        calls.append(None)
+        return product(a, b, z)
+
+    monkeypatch.setattr(core, "_product", counting)
+    return calls
+
+
 class TestTreeProducts:
+    """`tree_products` multiplies each distinct pair of sub-span values once."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_per_tree_evaluation(self, rng, n):
-        factors = [random_octonion(rng, nonzero=True) for _ in range(n)]
-        expected = [evaluate(t, factors) for t in enumerate_trees(n)]
-        assert tree_products(factors) == expected
+        for name, factors in _factor_sets(rng, "exact", n).items():
+            assert tree_products(factors) == _per_tree(factors), name
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_float_matches_per_tree_evaluation_bitwise(self, rng, n):
-        factors = [random_octonion(rng, "float", nonzero=True) for _ in range(n)]
-        expected = [evaluate(t, factors) for t in enumerate_trees(n)]
-        got = tree_products(factors)
-        assert len(got) == len(expected)
-        for p, q in zip(got, expected):
-            assert [v.hex() for v in p.c] == [v.hex() for v in q.c]
+        sets = _factor_sets(rng, "float", n)
+        # Factors holding -0.0, alone and repeated: equal to +0.0 but not
+        # the same bits.
+        z = Octonion([-0.0, 1.5, -0.0, 0.0, -2.0, -0.0, 0.25, -0.0])
+        minus_e3 = Octonion.unit(3, "float") * -1.0
+        sets["negative zeros"] = ([z, minus_e3] * n)[:n]
+        sets["repeated negative zeros"] = [z] * n
+        for name, factors in sets.items():
+            assert _hexes(tree_products(factors)) == _hexes(_per_tree(factors)), name
 
     def test_bounds(self):
         with pytest.raises(OutOfRangeError):
             tree_products([])
         with pytest.raises(OutOfRangeError):
             tree_products([ONE] * 13)
+
+    def test_two_generator_word_collapses_every_span(self, rng, count_products):
+        x, y = (random_octonion(rng, nonzero=True) for _ in range(2))
+        factors = expand_word(WORD, x, y)
+        count_products.clear()
+        products = tree_products(factors)
+        # One value per span, one multiply per split: sum (8-w)*w = 84.
+        assert len(count_products) == sum((8 - w) * w for w in range(1, 8)) == 84
+        assert len(products) == 429
+        assert all(p is products[0] for p in products)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generic_factors_cost_one_multiply_per_tree(self, rng, count_products, n):
+        factors = [random_octonion(rng, nonzero=True) for _ in range(n)]
+        count_products.clear()
+        tree_products(factors)
+        # The per-tree DP: each span of w+1 factors builds its CATALAN[w] trees.
+        assert len(count_products) == sum((n - w) * CATALAN[w] for w in range(1, n))
+
+    def test_biassociativity_check_keeps_its_teeth(self, monkeypatch):
+        # A product with one sign flipped is not alternative, so Artin's
+        # theorem fails: sharing equal products must not hide that.  The
+        # check fails on exactly the cases that per-tree evaluation fails
+        # on, 196 of these 300.
+        terms = [list(row) for row in core._product_terms()]
+        sign, i, j = terms[3][5]
+        terms[3][5] = (-sign, i, j)
+        monkeypatch.setattr(
+            core, "_product", core._compile_product(terms, "<test flipped product>")
+        )
+
+        def failures():
+            return sum(
+                checks._check_biassociativity(random.Random(f"{k}:bi"), "exact", 0)
+                is not None
+                for k in range(300)
+            )
+
+        shared = failures()
+        monkeypatch.setattr(checks, "tree_products", _per_tree)
+        assert shared == failures() == 196
 
 
 class TestGeneralizedAssociator:
