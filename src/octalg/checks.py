@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .brackets import (
     additive_associator,
@@ -24,17 +23,25 @@ from .brackets import (
     multiplicative_commutator,
     schafer_residual,
 )
-from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion
+from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _Record
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import tree_products
 
 
-@dataclass
-class CheckReport:
-    name: str
-    cases: int
-    failures: int
-    first_failure: str | None = None
+class CheckReport(_Record):
+    """One identity's outcome: compared by fields, but mutable, and so
+    unhashable."""
+
+    __slots__ = ("name", "cases", "failures", "first_failure")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, cases: int, failures: int, first_failure: str | None = None):
+        self.name = name
+        self.cases = cases
+        self.failures = failures
+        self.first_failure = first_failure
 
     @property
     def passed(self) -> int:

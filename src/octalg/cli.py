@@ -55,7 +55,7 @@ from .exprs import Environment, eval_expr, parse_with_info
 from .sampling import DEFAULT_SEED
 from .textform import format_coefficients, format_octonion, parse_octonion
 from .trees import (
-    associator_matrix,
+    _matrix_from_products,
     enumerate_trees,
     evaluate,
     format_matrix_machine,
@@ -276,7 +276,7 @@ def _cmd_orders(args, tolerance) -> int:
         _require_representable_products(factors, products)
     # Built before anything is printed, so an evaluation error leaves no
     # partial output.
-    matrix = associator_matrix(factors) if args.matrix else None
+    matrix = _matrix_from_products(factors, products) if args.matrix else None
     orders = zip(trees, products)
     labels = [f"x{k}" for k in range(1, n + 1)]
     if args.fmt == "machine":

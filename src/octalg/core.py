@@ -15,9 +15,13 @@ octonions) with the pair rule
 
     (a, b) * (c, d) = (a*c - conj(d)*b,  d*a + b*conj(c))
 
-so the basis products are a consequence of the construction rather than a
-64-entry constant to trust.  Basis order: ``e0`` is the real unit,
-``e1..e3`` span the quaternion sublevel, ``e4..e7`` the doubled half.
+applied to signed basis units, one doubling at a time: each product of
+units at one size is read off one product of units at half the size.  The
+basis products are thus a consequence of the construction rather than a
+64-entry constant to trust; `cayley_dickson_product`, the same rule
+recursing on whole coefficient tuples, stays as an independent check.
+Basis order: ``e0`` is the real unit, ``e1..e3`` span the quaternion
+sublevel, ``e4..e7`` the doubled half.
 
 The product is generated from that derived table at import time, as
 straight-line source of 8 signed sums, rather than interpreted per call.
@@ -78,22 +82,31 @@ def _cd_multiply(u: tuple, v: tuple) -> tuple:
 
 
 def _derive_table() -> tuple[tuple, tuple]:
-    index = []
-    sign = []
-    basis = [tuple(1 if k == i else 0 for k in range(DIM)) for i in range(DIM)]
-    for i in range(DIM):
-        row_i = []
-        row_s = []
-        for j in range(DIM):
-            prod = _cd_multiply(basis[i], basis[j])
-            nonzero = [(k, s) for k, s in enumerate(prod) if s != 0]
-            if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
-                raise AssertionError("doubling produced a non-monomial basis product")
-            row_i.append(nonzero[0][0])
-            row_s.append(nonzero[0][1])
-        index.append(tuple(row_i))
-        sign.append(tuple(row_s))
-    return tuple(index), tuple(sign)
+    # units[p, q] = (k, s) means e_p * e_q = s * e_k.  At size 2h the pair
+    # rule sees e_p = (e_p, 0) and e_{h+q} = (0, e_q) for p, q < h, so each
+    # product of units is one half-size product, with conj(e_q) = c * e_q:
+    #   e_p     * e_q     = (e_p e_q, 0)
+    #   e_p     * e_{h+q} = (0, e_q e_p)
+    #   e_{h+p} * e_q     = (0, e_p conj(e_q))
+    #   e_{h+p} * e_{h+q} = (-conj(e_q) e_p, 0)
+    units = {(0, 0): (0, 1)}  # the reals: e0 * e0 = e0
+    h = 1
+    while h < DIM:
+        doubled = {}
+        for (p, q), (k, s) in units.items():
+            k_qp, s_qp = units[q, p]
+            c = 1 if q == 0 else -1
+            doubled[p, q] = (k, s)
+            doubled[p, h + q] = (h + k_qp, s_qp)
+            doubled[h + p, q] = (h + k, s * c)
+            doubled[h + p, h + q] = (k_qp, -c * s_qp)
+        units = doubled
+        h *= 2
+    rows = [[units[i, j] for j in range(DIM)] for i in range(DIM)]
+    return (
+        tuple(tuple(k for k, _ in row) for row in rows),
+        tuple(tuple(s for _, s in row) for row in rows),
+    )
 
 
 _MUL_INDEX, _MUL_SIGN = _derive_table()
@@ -220,7 +233,12 @@ class Octonion:
                 f"octonions take exactly {DIM} coefficients, got {len(coeffs)}"
             )
         if any(isinstance(v, float) for v in coeffs):
-            _set_v(self, tuple(float(v) for v in coeffs))
+            values = tuple(float(v) for v in coeffs)
+            if not all(map(math.isfinite, values)):
+                raise NonFiniteError(
+                    f"octonion coefficients must be finite binary64 values, got {values}"
+                )
+            _set_v(self, values)
             _set_d(self, None)
             return
         fractions = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
@@ -465,3 +483,45 @@ def _new(values, d) -> Octonion:
     _set_v(x, tuple(values))
     _set_d(x, d)
     return x
+
+
+class _Record:
+    """Base of the package's small records, the expression and tree nodes
+    among them.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its
+    ``__init__`` through ``object.__setattr__``.  Instances refuse
+    assignment, compare and hash by exact type and `_key` (all fields,
+    unless a subclass narrows it), and show as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    _key = _fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so copy and pickle never assign a field.
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{self.__class__.__qualname__}({fields})"

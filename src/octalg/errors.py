@@ -20,9 +20,9 @@ class ZeroInverseError(OctalgError, ZeroDivisionError):
 
 
 class NonFiniteError(OctalgError, ValueError):
-    """Raised when a float-backend literal, or a squared norm that an inverse
-    divides by, is beyond the binary64 range: not finite, or underflowed to 0
-    from nonzero coefficients."""
+    """Raised when a float-backend literal or coefficient, or a squared norm
+    that an inverse divides by, is beyond the binary64 range: not finite, or
+    underflowed to 0 from nonzero coefficients."""
 
 
 class ShapeMismatchError(OctalgError, ValueError):

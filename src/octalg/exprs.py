@@ -19,41 +19,54 @@ reserved literals and cannot be bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
-from .core import EXACT, Octonion
+from .core import EXACT, Octonion, _Record
 from .errors import ParseError, ReservedIdentifierError, UnboundVariableError
 from .textform import UNIT_NAMES, WORD_RE, format_octonion, scan_octonion
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: Octonion
+class Literal(_Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Octonion):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "Expr"
-    right: "Expr"
-    # True when this grouping came from the left-associative default rather
-    # than from explicit parentheses; excluded from structural equality.
-    defaulted: bool = field(default=False, compare=False)
+class Product(_Record):
+    __slots__ = ("left", "right", "defaulted")
+
+    def __init__(self, left: "Expr", right: "Expr", defaulted: bool = False):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        # True when this grouping came from the left-associative default
+        # rather than from explicit parentheses.
+        object.__setattr__(self, "defaulted", defaulted)
+
+    def _key(self) -> tuple:
+        # Structural equality: how the grouping arose does not count.
+        return self.left, self.right
 
 
-@dataclass(frozen=True)
-class Conj:
-    inner: "Expr"
+class Conj(_Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Expr"):
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Inv:
-    inner: "Expr"
+class Inv(_Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Expr"):
+        object.__setattr__(self, "inner", inner)
 
 
 Expr = Union[Literal, Var, Product, Conj, Inv]
@@ -89,12 +102,16 @@ class Environment:
 _SIMPLE_TOKENS = {"*": "STAR", "~": "CONJ", "(": "LPAREN", ")": "RPAREN"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    pos: int
-    text: str = ""
-    value: Octonion | None = None
+class _Token(_Record):
+    __slots__ = ("kind", "pos", "text", "value")
+
+    def __init__(
+        self, kind: str, pos: int, text: str = "", value: Octonion | None = None
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "value", value)
 
 
 def _tokenize(source: str, backend: str) -> list[_Token]:

@@ -16,11 +16,19 @@ the left first.  For n = 4 this yields, in order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .core import EXACT, FLOAT, Octonion, Scalar, _new, _norm_range_error, require_tolerance
+from .core import (
+    EXACT,
+    FLOAT,
+    Octonion,
+    Scalar,
+    _Record,
+    _new,
+    _norm_range_error,
+    require_tolerance,
+)
 from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
@@ -29,15 +37,19 @@ MAX_ENUMERATE_FACTORS = 12
 MAX_MATRIX_FACTORS = 8
 
 
-@dataclass(frozen=True)
-class Leaf:
-    position: int  # 1-based factor index
+class Leaf(_Record):
+    __slots__ = ("position",)  # 1-based factor index
+
+    def __init__(self, position: int):
+        object.__setattr__(self, "position", position)
 
 
-@dataclass(frozen=True)
-class Node:
-    left: "ProductTree"
-    right: "ProductTree"
+class Node(_Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "ProductTree", right: "ProductTree"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 ProductTree = Union[Leaf, Node]
@@ -193,8 +205,7 @@ def generalized_associator(i: int, j: int, factors: Sequence[Octonion]) -> Octon
     return p_i.inverse() * p_j
 
 
-@dataclass(frozen=True, eq=False)
-class AssociatorMatrix:
+class AssociatorMatrix(_Record):
     """Every pairwise evaluation-order associator of one factor sequence.
 
     Entry (i, j) converts the product under tree i into the product under
@@ -205,12 +216,17 @@ class AssociatorMatrix:
     ``i * size + j``: on the float backend a read-only ``(size * size, 8)``
     float64 array, which verification and formatting read as it is; on the
     exact backend a list of octonions.  `entry` builds one Octonion on
-    demand.
+    demand.  Equality is identity, since ``flat`` may be an array.
     """
 
-    n: int
-    trees: tuple[ProductTree, ...]
-    flat: object
+    __slots__ = ("n", "trees", "flat")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, trees: tuple[ProductTree, ...], flat):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "flat", flat)
 
     @property
     def size(self) -> int:
@@ -228,14 +244,27 @@ class AssociatorMatrix:
 
 def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
     """Materialize all pairwise order-conversion factors for one sequence."""
+    _require_matrix_factors(factors)
+    return _matrix_from_products(factors, tree_products(factors))
+
+
+def _require_matrix_factors(factors: Sequence[Octonion]) -> None:
     n = len(factors)
     if not 1 <= n <= MAX_MATRIX_FACTORS:
         raise OutOfRangeError(
             f"matrix factor count must be in 1..{MAX_MATRIX_FACTORS}, got {n}"
         )
     _require_nonzero_factors(factors)
+
+
+def _matrix_from_products(
+    factors: Sequence[Octonion], products: list[Octonion]
+) -> AssociatorMatrix:
+    """`associator_matrix` of ``factors`` from ``products``, their
+    `tree_products`, for a caller that already holds them."""
+    _require_matrix_factors(factors)
+    n = len(factors)
     trees = tuple(enumerate_trees(n))
-    products = tree_products(factors)
     if factors[0].backend == FLOAT:
         flat = _entries_float(products)
     else:

@@ -278,6 +278,26 @@ class TestOrders:
         assert "1\t2\t-1,0,0,0,0,0,0,0" in lines
         assert lines[-2] == "verify:diagonalall1\tOK"
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_matrix_builds_the_tree_products_once(self, capsys, monkeypatch, backend):
+        from octalg import cli, trees
+
+        calls = []
+        tree_products = trees.tree_products
+
+        def counting(factors):
+            calls.append(len(factors))
+            return tree_products(factors)
+
+        monkeypatch.setattr(cli, "tree_products", counting)
+        monkeypatch.setattr(trees, "tree_products", counting)
+        code, _, _ = run_cli(
+            capsys, "orders", "1+e1", "2-e2", "e4+1/3e7", "3e5-e6", "--matrix",
+            "--backend", backend,
+        )
+        assert code == 0
+        assert calls == [4]
+
     def test_zero_factor_with_matrix(self, capsys):
         code, _, err = run_cli(capsys, "orders", "e1", "0", "--matrix")
         assert code == 2
@@ -360,12 +380,14 @@ class TestOrders:
         # 10x the tolerance added to coefficient 0 of the diagonal entry (1, 1)
         # breaks "diagonal all 1"; added to coefficient 5 of the off-diagonal
         # entry (1, 2), it breaks the conjugate symmetry.
-        from octalg import associator_matrix, cli
+        from octalg import cli, trees
 
         j = 0 if coefficient == 0 else 1
         monkeypatch.setattr(
-            cli, "associator_matrix",
-            lambda factors: perturbed(associator_matrix(factors), 0, j, coefficient, 1e-11),
+            cli, "_matrix_from_products",
+            lambda factors, products: perturbed(
+                trees._matrix_from_products(factors, products), 0, j, coefficient, 1e-11
+            ),
         )
         code, out, _ = run_cli(
             capsys, "orders", "1 + e1", "2 - e2", "e4 + 1/3e7", "--matrix",
@@ -375,6 +397,30 @@ class TestOrders:
         diagonal, symmetry = out.splitlines()[-2:]
         assert diagonal.endswith("FAIL" if coefficient == 0 else "OK")
         assert symmetry.endswith("OK" if coefficient == 0 else "FAIL")
+
+
+class TestCheckReport:
+    def test_equality_and_repr(self):
+        from octalg.checks import CheckReport
+
+        report = CheckReport("moufang", 3, 1, "boom")
+        assert report == CheckReport(name="moufang", cases=3, failures=1, first_failure="boom")
+        assert report != CheckReport("moufang", 3, 1)
+        assert report != ("moufang", 3, 1, "boom")
+        assert repr(CheckReport("moufang", 3, 0)) == (
+            "CheckReport(name='moufang', cases=3, failures=0, first_failure=None)"
+        )
+        assert (report.passed, report.ok) == (2, False)
+
+    def test_mutable_and_unhashable(self):
+        from octalg.checks import CheckReport, run_checks
+
+        report = CheckReport("moufang", 3, 1, "boom")
+        report.failures = 0
+        assert report.ok
+        with pytest.raises(TypeError):
+            hash(report)
+        assert run_checks(cases=2, names=["moufang"]) == [CheckReport("moufang", 2, 0)]
 
 
 class TestCheck:

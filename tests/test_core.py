@@ -62,6 +62,16 @@ class TestMultiplicationTable:
         for (i, j), (k, sign) in HAND_TABLE.items():
             assert unit(i) * unit(j) == sign * unit(k), f"e{i}*e{j}"
 
+    def test_table_matches_recursive_doubling_on_basis_units(self):
+        # The table is derived on signed basis units; the recursion on whole
+        # coefficient tuples is an independent route through the same rule.
+        index, sign = structure_table()
+        basis = [tuple(int(m == k) for m in range(8)) for k in range(8)]
+        for i in range(8):
+            for j in range(8):
+                expected = tuple(sign[i][j] * b for b in basis[index[i][j]])
+                assert cayley_dickson_product(basis[i], basis[j]) == expected, f"e{i}*e{j}"
+
     def test_emitted_table_matches_hand_oracle(self):
         index, sign = structure_table()
         for (i, j), (k, s) in HAND_TABLE.items():
@@ -245,14 +255,14 @@ class TestSpecifiedExamples:
         zero = Octonion.zero("float")
         for k in range(8):
             for bad in (nan, inf, -inf):
-                v = Octonion([bad if i == k else 0.0 for i in range(8)])
+                v = core._new([bad if i == k else 0.0 for i in range(8)], None)
                 assert not v.equals(zero, 1e-12)
                 assert not zero.equals(v, 1e-12)
                 assert not v.equals(v, 1e-12)
         # the identity suite's magnitude-scaled comparisons
         finite = Octonion([5.0] + [0.0] * 7)
-        assert not checks._eq(Octonion([inf] + [0.0] * 7), finite, 1e-12)
-        assert not checks._eq(Octonion([5.0, nan] + [0.0] * 6), finite, 1e-12)
+        assert not checks._eq(core._new([inf] + [0.0] * 7, None), finite, 1e-12)
+        assert not checks._eq(core._new([5.0, nan] + [0.0] * 6, None), finite, 1e-12)
         assert not checks._scalar_eq(inf, 5.0, 1e-12)
         assert not checks._scalar_eq(inf, inf, 1e-12)
         assert not checks._scalar_eq(nan, 5.0, 1e-12)
@@ -323,6 +333,16 @@ class TestConstructionAndBackends:
         x = Octonion.one()
         with pytest.raises(AttributeError):
             x.c = (Fraction(2),) * 8
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_floats(self, bad):
+        for k in range(8):
+            with pytest.raises(NonFiniteError, match="finite"):
+                Octonion([bad if i == k else 0.0 for i in range(8)])
+        with pytest.raises(NonFiniteError):
+            Octonion.from_real(bad)
+        with pytest.raises(NonFiniteError):
+            Octonion([bad] + [0] * 7)
 
     def test_backend_inference(self):
         assert Octonion([1] * 8).backend == "exact"

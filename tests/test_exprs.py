@@ -18,7 +18,8 @@ from octalg import (
     parse_with_info,
     render_expr,
 )
-from octalg.exprs import Conj, Inv, Literal, Product, Var
+from octalg.core import EXACT
+from octalg.exprs import Conj, Inv, Literal, Product, Var, _Token, _tokenize
 
 from tests.strategies import octonions, unit
 
@@ -87,6 +88,46 @@ class TestParse:
         assert expr == Product(Literal(Octonion([0.0, 1.5] + [0.0] * 6)), Var("x"))
         with pytest.raises(ParseError):
             parse("1.5*x", backend="exact")
+
+
+class TestNodeValues:
+    def test_conjugate_and_inverse_differ(self):
+        assert parse("x~") != parse("x^-1")
+        assert Conj(Var("x")) != Inv(Var("x"))
+        assert Var("x") != ("x",)
+
+    def test_defaulted_is_outside_equality_and_hash(self):
+        flagged = Product(Var("x"), Var("y"), defaulted=True)
+        plain = Product(Var("x"), Var("y"))
+        assert flagged == plain
+        assert hash(flagged) == hash(plain)
+        assert flagged.defaulted and not plain.defaulted
+
+    def test_nodes_refuse_assignment(self):
+        expr = parse("(2*x)~*y^-1")
+        nodes = [
+            (expr, "left"), (expr, "defaulted"), (expr.left, "inner"),
+            (expr.right, "inner"), (expr.left.inner.left, "value"),
+            (expr.left.inner.right, "name"),
+        ]
+        for node, name in nodes:
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            _tokenize("x", EXACT)[0].kind = "END"
+
+    def test_repr(self):
+        assert repr(Product(Var("x"), Conj(Var("y")))) == (
+            "Product(left=Var(name='x'), right=Conj(inner=Var(name='y')), defaulted=False)"
+        )
+        assert repr(_tokenize("x", EXACT)[0]) == (
+            "_Token(kind='IDENT', pos=0, text='x', value=None)"
+        )
+
+    def test_tokens_compare_by_fields(self):
+        assert _tokenize("x*", EXACT) == [
+            _Token("IDENT", 0, "x"), _Token("STAR", 1, "*"), _Token("END", 2)
+        ]
 
 
 class TestEnvironment:

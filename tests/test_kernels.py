@@ -129,3 +129,15 @@ class TestModuleBoundary:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # Both cost milliseconds at every CLI start; the package needs neither.
+        code = (
+            "import sys, octalg.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from octalg import (
     format_octonion,
     parse_octonion,
 )
+from octalg.core import _new
 from octalg.textform import format_float_coefficients, format_scalar
 
 from tests.strategies import octonions, unit
@@ -148,7 +149,8 @@ class TestRender:
     def test_float_fast_join_matches_per_value_rendering(self, values):
         expected = ",".join(format_scalar(v) for v in values)
         assert format_float_coefficients(values) == expected
-        assert format_coefficients(Octonion(values)) == expected
+        # The values may be non-finite, which Octonion() refuses.
+        assert format_coefficients(_new(values, None)) == expected
 
     @given(octonions, octonions)
     def test_exact_machine_rendering_matches_fractions(self, x, y):

@@ -1,6 +1,8 @@
 """Tree enumeration, evaluation, and the order-conversion matrix."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from octalg import (
+    AssociatorMatrix,
     Leaf,
     Node,
     Octonion,
@@ -84,6 +87,33 @@ class TestEnumeration:
     def test_trees_are_values(self):
         assert Node(Leaf(1), Leaf(2)) == Node(Leaf(1), Leaf(2))
         assert len(set(enumerate_trees(5))) == 14
+
+    def test_equality_is_by_exact_type_and_fields(self):
+        assert Leaf(1) != (1,)
+        assert Leaf(1) != Leaf(2)
+        assert hash(Leaf(1)) == hash(Leaf(1))
+        assert Node(Leaf(1), Leaf(2)) != Node(Leaf(2), Leaf(1))
+
+    def test_repr(self):
+        assert repr(Node(Leaf(1), Leaf(2))) == (
+            "Node(left=Leaf(position=1), right=Leaf(position=2))"
+        )
+
+    def test_nodes_refuse_assignment(self):
+        tree = Node(Leaf(1), Leaf(2))
+        for node, name in ((tree, "left"), (tree, "right"), (tree.left, "position")):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Leaf(3))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            tree.extra = 1
+        assert tree == Node(Leaf(1), Leaf(2))
+
+    def test_copy_and_pickle_keep_the_tree(self):
+        tree = enumerate_trees(4)[3]
+        assert copy.deepcopy(tree) == tree
+        assert pickle.loads(pickle.dumps(tree)) == tree
 
     def test_combs(self):
         assert left_comb(3) == Node(Node(Leaf(1), Leaf(2)), Leaf(3))
@@ -273,6 +303,16 @@ class TestGeneralizedAssociator:
 
 
 class TestAssociatorMatrix:
+    def test_equality_is_identity_and_fields_are_frozen(self):
+        m = associator_matrix([unit(1), unit(2), unit(4)])
+        twin = AssociatorMatrix(n=m.n, trees=m.trees, flat=m.flat)
+        assert m == m
+        assert m != twin
+        assert len({m, twin}) == 2
+        with pytest.raises(AttributeError):
+            m.n = 4
+        assert repr(m).startswith("AssociatorMatrix(n=3, trees=(Node(left=Leaf(position=1)")
+
     def test_real_factors(self):
         m = associator_matrix([Octonion.from_real(2), Octonion.from_real(3), ONE, ONE])
         assert all(m.entry(i, j) == ONE for i in range(5) for j in range(5))
