@@ -56,12 +56,12 @@ from .sampling import DEFAULT_SEED
 from .textform import format_coefficients, format_octonion, parse_octonion
 from .trees import (
     _matrix_from_products,
-    enumerate_trees,
+    _require_matrix_factors,
+    _tree_labels,
     evaluate,
     format_matrix_machine,
     format_matrix_text,
     left_comb,
-    render_tree,
     right_comb,
     tree_products,
     verify_matrix,
@@ -270,25 +270,25 @@ def _emit_check_line(label: str, ok: bool, fmt: str) -> None:
 def _cmd_orders(args, tolerance) -> int:
     factors = [parse_octonion(text, args.backend) for text in args.factors]
     n = len(factors)
-    trees = enumerate_trees(n)
+    if args.matrix:
+        _require_matrix_factors(factors)
     products = tree_products(factors)
     if args.backend == FLOAT:
         _require_representable_products(factors, products)
     # Built before anything is printed, so an evaluation error leaves no
     # partial output.
     matrix = _matrix_from_products(factors, products) if args.matrix else None
-    orders = zip(trees, products)
-    labels = [f"x{k}" for k in range(1, n + 1)]
+    orders = zip(_tree_labels(n), products)
     if args.fmt == "machine":
         print(f"n\t{n}")
-        print(f"orders\t{len(trees)}")
-        for k, (tree, value) in enumerate(orders, start=1):
-            print(f"order_{k}\t{render_tree(tree, labels)}\t{format_coefficients(value)}")
+        print(f"orders\t{len(products)}")
+        for k, (label, value) in enumerate(orders, start=1):
+            print(f"order_{k}\t{label}\t{format_coefficients(value)}")
     else:
-        plural = "s" if len(trees) != 1 else ""
-        print(f"{n} factor product, {len(trees)} evaluation order{plural}:")
-        for k, (tree, value) in enumerate(orders, start=1):
-            print(f"  {k}: {render_tree(tree, labels)} = {format_octonion(value)}")
+        plural = "s" if len(products) != 1 else ""
+        print(f"{n} factor product, {len(products)} evaluation order{plural}:")
+        for k, (label, value) in enumerate(orders, start=1):
+            print(f"  {k}: {label} = {format_octonion(value)}")
     if matrix is None:
         return EXIT_OK
 

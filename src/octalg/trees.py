@@ -5,9 +5,10 @@ positions 1..n in left-to-right order; it encodes one evaluation order of
 the product without ever reordering the factors.  There are Catalan(n-1)
 such trees.
 
-Canonical enumeration order: for leaves lo..hi, iterate the split point
-s = lo..hi-1 (left subtree over lo..s, right over s+1..hi), recursing on
-the left first.  For n = 4 this yields, in order:
+Canonical enumeration order, fixed in `_span_fold` alone: for leaves lo..hi,
+iterate the split point s = lo..hi-1 (left subtree over lo..s, right over
+s+1..hi), recursing on the left first.  Trees, products and labels all come
+from that fold.  For n = 4 this yields, in order:
 
     x1*(x2*(x3*x4)), x1*((x2*x3)*x4), (x1*x2)*(x3*x4),
     (x1*(x2*x3))*x4, ((x1*x2)*x3)*x4
@@ -62,22 +63,34 @@ def leaf_positions(tree: ProductTree) -> list[int]:
     return leaf_positions(tree.left) + leaf_positions(tree.right)
 
 
-def leaf_count(tree: ProductTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return leaf_count(tree.left) + leaf_count(tree.right)
+def _span_fold(leaves: Sequence, join) -> list:
+    """The result list over all of ``leaves``, built narrowest span first: a
+    leaf's span holds ``[leaf]``; span lo..hi holds ``join`` of its
+    ``(lefts, rights)`` sub-span result lists, one pair per split in order."""
+    n = len(leaves)
+    span = {(k, k): [leaf] for k, leaf in enumerate(leaves)}
+    for width in range(1, n):
+        for lo in range(n - width):
+            hi = lo + width
+            span[lo, hi] = join([(span[lo, split], span[split + 1, hi]) for split in range(lo, hi)])
+    return span[0, n - 1]
+
+
+def _pairwise(combine):
+    """A `_span_fold` join: ``combine`` each left result with each right one."""
+    return lambda splits: [combine(a, b) for lefts, rights in splits for a in lefts for b in rights]
 
 
 @lru_cache(maxsize=None)
-def _span_trees(lo: int, hi: int) -> tuple:
-    if lo == hi:
-        return (Leaf(lo),)
-    acc = []
-    for split in range(lo, hi):
-        for left in _span_trees(lo, split):
-            for right in _span_trees(split + 1, hi):
-                acc.append(Node(left, right))
-    return tuple(acc)
+def _trees(n: int) -> tuple:
+    return tuple(_span_fold([Leaf(k) for k in range(1, n + 1)], _pairwise(Node)))
+
+
+def _tree_labels(n: int) -> list[str]:
+    """`render_tree` of every tree of `enumerate_trees`, in the same order."""
+    labels = _span_fold([f"x{k}" for k in range(1, n + 1)], _pairwise("({}*{})".format))
+    # Every label but a lone leaf's carries one pair of outer parentheses.
+    return labels if n == 1 else [label[1:-1] for label in labels]
 
 
 def _require_enumerable(n: int) -> None:
@@ -90,7 +103,7 @@ def _require_enumerable(n: int) -> None:
 def enumerate_trees(n: int) -> list[ProductTree]:
     """All parenthesizations of an n-factor product, in canonical order."""
     _require_enumerable(n)
-    return list(_span_trees(1, n))
+    return list(_trees(n))
 
 
 def left_comb(n: int) -> ProductTree:
@@ -110,18 +123,16 @@ def right_comb(n: int) -> ProductTree:
 
 
 def render_tree(tree: ProductTree, labels: Sequence[str] | None = None) -> str:
-    """Render as an expression, e.g. ``(x1*x2)*x3``."""
-    if labels is None:
-        labels = [f"x{k}" for k in range(1, leaf_count(tree) + 1)]
+    """Render as an expression, e.g. ``(x1*x2)*x3``: leaf k as
+    ``labels[k - 1]``, or as ``xk`` when no labels are given."""
 
     def part(t: ProductTree) -> str:
         if isinstance(t, Leaf):
-            return labels[t.position - 1]
+            return f"x{t.position}" if labels is None else labels[t.position - 1]
         return f"({part(t.left)}*{part(t.right)})"
 
-    if isinstance(tree, Leaf):
-        return labels[tree.position - 1]
-    return f"{part(tree.left)}*{part(tree.right)}"
+    text = part(tree)
+    return text if isinstance(tree, Leaf) else text[1:-1]
 
 
 def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
@@ -143,7 +154,7 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     """The product of ``factors`` under every tree of `enumerate_trees`, in
     the same canonical order.
 
-    Interval DP over spans: the products of each span are built from the
+    Runs on `_span_fold`: the products of each span are built from the
     products of its two sub-spans at every split, and each distinct pair of
     sub-span objects is multiplied once per span.  Equal products of a span
     are then kept as one shared object (safe: an Octonion is immutable), so
@@ -158,31 +169,26 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     product never holds -0.0, since each of its sums starts from +0.0; a
     NaN equals nothing, so a product holding one is never merged.
     """
-    n = len(factors)
-    _require_enumerable(n)
-    # span[lo][hi]: the products over factors lo..hi (0-based), canonical order.
-    span = [[None] * n for _ in range(n)]
-    for k, f in enumerate(factors):
-        span[k][k] = [f]
-    for width in range(1, n):
-        for lo in range(n - width):
-            hi = lo + width
-            # The span's product of each operand pair, and its one object for
-            # each product value.  Every operand is alive in `span`, so its
-            # id() is not reused while these are.
-            by_pair, by_value = {}, {}
-            products = []
-            for split in range(lo, hi):
-                for left in span[lo][split]:
-                    for right in span[split + 1][hi]:
-                        key = (id(left), id(right))
-                        p = by_pair.get(key)
-                        if p is None:
-                            p = left * right
-                            p = by_pair[key] = by_value.setdefault(p, p)
-                        products.append(p)
-            span[lo][hi] = products
-    return span[0][n - 1]
+    _require_enumerable(len(factors))
+
+    def join(splits):
+        # The span's product of each operand pair, and its one object for
+        # each product value.  Every operand is alive in the fold, so its
+        # id() is not reused while these are.
+        by_pair, by_value = {}, {}
+        products = []
+        for lefts, rights in splits:
+            for left in lefts:
+                for right in rights:
+                    key = (id(left), id(right))
+                    p = by_pair.get(key)
+                    if p is None:
+                        p = left * right
+                        p = by_pair[key] = by_value.setdefault(p, p)
+                    products.append(p)
+        return products
+
+    return _span_fold(factors, join)
 
 
 def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:
@@ -260,9 +266,8 @@ def _require_matrix_factors(factors: Sequence[Octonion]) -> None:
 def _matrix_from_products(
     factors: Sequence[Octonion], products: list[Octonion]
 ) -> AssociatorMatrix:
-    """`associator_matrix` of ``factors`` from ``products``, their
-    `tree_products`, for a caller that already holds them."""
-    _require_matrix_factors(factors)
+    """`associator_matrix` of ``factors``, checked by `_require_matrix_factors`,
+    from ``products``, their `tree_products`, for a caller that holds them."""
     n = len(factors)
     trees = tuple(enumerate_trees(n))
     if factors[0].backend == FLOAT:

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from octalg.cli import main
+from octalg.trees import Leaf, _tree_labels, enumerate_trees, left_comb, render_tree
 
 from tests.strategies import perturbed
 
@@ -278,8 +279,9 @@ class TestOrders:
         assert "1\t2\t-1,0,0,0,0,0,0,0" in lines
         assert lines[-2] == "verify:diagonalall1\tOK"
 
-    @pytest.mark.parametrize("backend", ["exact", "float"])
-    def test_matrix_builds_the_tree_products_once(self, capsys, monkeypatch, backend):
+    @pytest.fixture
+    def product_calls(self, monkeypatch):
+        """The factor count of every `tree_products` call, wherever made."""
         from octalg import cli, trees
 
         calls = []
@@ -291,12 +293,40 @@ class TestOrders:
 
         monkeypatch.setattr(cli, "tree_products", counting)
         monkeypatch.setattr(trees, "tree_products", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_matrix_builds_the_tree_products_once(self, capsys, product_calls, backend):
         code, _, _ = run_cli(
             capsys, "orders", "1+e1", "2-e2", "e4+1/3e7", "3e5-e6", "--matrix",
             "--backend", backend,
         )
         assert code == 0
-        assert calls == [4]
+        assert product_calls == [4]
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_impossible_matrix_is_refused_before_any_product(
+        self, capsys, product_calls, backend
+    ):
+        code, out, err = run_cli(
+            capsys, "orders", *(["1+e1"] * 9), "--matrix", "--backend", backend
+        )
+        assert code == 1
+        assert out == ""
+        assert "1..8" in err
+        assert product_calls == []
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_zero_factor_matrix_is_refused_before_any_product(
+        self, capsys, product_calls, backend
+    ):
+        code, out, err = run_cli(
+            capsys, "orders", "e1", "0", "e2", "--matrix", "--backend", backend
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "octalg: error: factor 2 is zero; all factors must be invertible\n"
+        assert product_calls == []
 
     def test_zero_factor_with_matrix(self, capsys):
         code, _, err = run_cli(capsys, "orders", "e1", "0", "--matrix")
@@ -538,10 +568,14 @@ GOLDEN_FACTORS = (
 )
 
 
+# Three more factors for the 10-factor listing (4,862 orders).
+TEN_FACTOR_EXTRA = ("2 - e6 + 1/9e2", "e5 + 4/3e1 - 1", "1/7 + e3 - 2e7")
+
+
 class TestGoldenOutput:
-    """sha256 of the full stdout of a 7-factor ``orders --matrix``, so that
-    no change to how the matrix is computed, stored or rendered can change
-    a byte of it unnoticed."""
+    """sha256 of the full stdout of a 7-factor ``orders --matrix`` and of a
+    10-factor ``orders`` listing, so that no change to how the orders or the
+    matrix are computed, stored or rendered can change a byte unnoticed."""
 
     @pytest.mark.parametrize(
         "backend, fmt, digest",
@@ -559,3 +593,29 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "backend, fmt, digest",
+        [
+            ("exact", "text", "ca2ab0f08fa3f57a895a87065fc3e053ad56a883a2058c590bf3e6f01a608f86"),
+            ("exact", "machine", "878a8a8fc3aa7af1c660a22df2403fd1c8bdc61bcd9c571e492d00b4dbdad55e"),
+            ("float", "text", "6b9eb6195643fb016a7324b4bf032d537bd43da9bdb62f158bf6649d36fd70a5"),
+            ("float", "machine", "79fc63bb1f0545454aef43ebd954413a77b03a5793fda66db2e65e7131633bc2"),
+        ],
+    )
+    def test_ten_factor_listing(self, capsys, backend, fmt, digest):
+        code, out, _ = run_cli(
+            capsys, "orders", *GOLDEN_FACTORS, *TEN_FACTOR_EXTRA, "--backend", backend,
+            "--format", fmt,
+        )
+        assert code == 0
+        assert out.count("\n") == 4862 + (1 if fmt == "text" else 2)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_listing_labels_are_the_rendered_trees(self):
+        for n in range(1, 13):
+            assert _tree_labels(n) == [render_tree(t) for t in enumerate_trees(n)]
+
+    def test_render_tree_default_labels(self):
+        assert render_tree(left_comb(4)) == "((x1*x2)*x3)*x4"
+        assert render_tree(Leaf(3)) == "x3"

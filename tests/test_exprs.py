@@ -21,7 +21,7 @@ from octalg import (
 from octalg.core import EXACT
 from octalg.exprs import Conj, Inv, Literal, Product, Var, _Token, _tokenize
 
-from tests.strategies import octonions, unit
+from tests.strategies import backends, octonions, source_text, unit
 
 
 class TestParse:
@@ -88,6 +88,13 @@ class TestParse:
         assert expr == Product(Literal(Octonion([0.0, 1.5] + [0.0] * 6)), Var("x"))
         with pytest.raises(ParseError):
             parse("1.5*x", backend="exact")
+
+    @given(source_text, backends)
+    def test_arbitrary_text_raises_only_value_errors(self, text, backend):
+        try:
+            parse(text, backend)
+        except ValueError:
+            pass
 
 
 class TestNodeValues:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from octalg import (
@@ -17,7 +17,7 @@ from octalg import (
 from octalg.core import _new
 from octalg.textform import format_float_coefficients, format_scalar
 
-from tests.strategies import octonions, unit
+from tests.strategies import backends, octonions, source_text, unit
 
 # Binary64 values at the edges of repr's positional/scientific switch and of
 # the range: subnormals, the smallest normal, +-1e308, signed zeros, 1e-7 and
@@ -28,6 +28,11 @@ _EDGE_FLOATS = st.sampled_from([
     float("nan"), float("inf"), float("-inf"),
 ])
 _FLOATS = st.floats() | _EDGE_FLOATS
+
+# The finite extremes of binary64 (smallest subnormal, smallest normal, 1e308,
+# largest finite), each sign, and the signed zeros.
+_EXTREMES = [5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 0.0]
+_EXTREME_FLOATS = st.sampled_from(_EXTREMES + [-v for v in _EXTREMES])
 
 
 class TestParse:
@@ -114,6 +119,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_octonion("e10")
 
+    @given(source_text, backends)
+    def test_arbitrary_text_raises_only_value_errors(self, text, backend):
+        try:
+            parse_octonion(text, backend)
+        except ValueError:
+            pass
+
 
 class TestRender:
     def test_spec_shape(self):
@@ -140,6 +152,17 @@ class TestRender:
     @given(octonions)
     def test_round_trip(self, x):
         assert parse_octonion(format_octonion(x)) == x
+
+    @given(st.lists(_EXTREME_FLOATS, min_size=8, max_size=8))
+    @example([5e-324, -0.0, 2.2250738585072014e-308, 1e308, -1e308,
+              1.7976931348623157e308, -5e-324, 0.0])
+    def test_float_round_trip_at_the_extremes(self, values):
+        x = Octonion(values)
+        back = parse_octonion(format_octonion(x), backend="float")
+        assert back == x
+        for sent, got in zip(values, back.c):
+            # The text omits zero terms, so a -0.0 coefficient comes back +0.0.
+            assert got.hex() == (sent.hex() if sent else (0.0).hex())
 
     def test_machine_coefficients(self):
         x = Octonion([1, 0, Fraction(-3, 4), 0, 0, 0, 0, 2])
