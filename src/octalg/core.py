@@ -255,8 +255,9 @@ class Octonion:
 
     @classmethod
     def zero(cls, backend: str = EXACT) -> "Octonion":
-        base = 0.0 if backend == FLOAT else 0
-        return cls((base,) * DIM)
+        if backend == FLOAT:
+            return _new((0.0,) * DIM, None)
+        return _new((0,) * DIM, 1)
 
     @classmethod
     def one(cls, backend: str = EXACT) -> "Octonion":
@@ -267,13 +268,16 @@ class Octonion:
         """The basis unit e_k, 0 <= k <= 7."""
         if not 0 <= k < DIM:
             raise ValueError(f"unit index must be in 0..{DIM - 1}, got {k}")
-        one = 1.0 if backend == FLOAT else 1
-        zero = 0.0 if backend == FLOAT else 0
-        return cls(tuple(one if i == k else zero for i in range(DIM)))
+        if backend == FLOAT:
+            return _new([1.0 if i == k else 0.0 for i in range(DIM)], None)
+        return _new([1 if i == k else 0 for i in range(DIM)], 1)
 
     @classmethod
     def from_real(cls, value: Scalar) -> "Octonion":
         """Embed a scalar as a real octonion; backend follows the value type."""
+        if isinstance(value, (int, Fraction)):
+            # Both carry a reduced numerator and a positive denominator.
+            return _new((value.numerator,) + (0,) * (DIM - 1), value.denominator)
         zero = 0.0 if isinstance(value, float) else 0
         return cls((value,) + (zero,) * (DIM - 1))
 

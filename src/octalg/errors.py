@@ -41,16 +41,20 @@ class ParseError(OctalgError, ValueError):
     """Syntax error in an octonion literal or expression.
 
     Carries the byte offset of the failure and the set of token
-    descriptions that would have been accepted there.
+    descriptions that would have been accepted there.  An input refused
+    for a limit rather than a token names the limit in ``reason``.
     """
 
-    def __init__(self, offset: int, expected: tuple[str, ...], found: str = ""):
+    def __init__(
+        self, offset: int, expected: tuple[str, ...], found: str = "", reason: str = ""
+    ):
         self.offset = offset
         self.expected = tuple(expected)
         self.found = found
         want = " or ".join(self.expected)
         detail = f", found {found!r}" if found else ""
-        super().__init__(f"syntax error at offset {offset}: expected {want}{detail}")
+        problem = reason or f"expected {want}{detail}"
+        super().__init__(f"syntax error at offset {offset}: {problem}")
 
 
 class UnboundVariableError(OctalgError, NameError):

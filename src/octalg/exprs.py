@@ -14,7 +14,9 @@ has no addition operator).  ``*`` associates left by default; because the
 algebra is non-associative, the parser records which product groupings
 were defaulted rather than written, so callers can warn about them.
 Identifiers match ``[a-zA-Z][a-zA-Z0-9_]*``; the unit names e0..e7 are
-reserved literals and cannot be bound.
+reserved literals and cannot be bound.  Expressions nest at most
+`MAX_DEPTH` levels deep; a deeper one is a ParseError at the token that
+passes the limit.
 """
 
 from __future__ import annotations
@@ -156,11 +158,36 @@ def _tokenize(source: str, backend: str) -> list[_Token]:
 
 # -- parser ----------------------------------------------------------------
 
+# The deepest expression accepted.  A literal or identifier is depth 0; a
+# parenthesized expression, a postfix operator and a product each sit one
+# level above their deepest operand, so a flat chain of n factors is n - 1
+# deep.  Parsing, evaluation and rendering all recurse on this nesting, so
+# a deeper expression is refused here rather than left to exhaust
+# Python's recursion limit.
+MAX_DEPTH = 200
+
+
+def _deeper(depth: int, token: _Token) -> int:
+    """``depth + 1``, or a ParseError at ``token`` past `MAX_DEPTH`."""
+    if depth >= MAX_DEPTH:
+        raise ParseError(
+            token.pos,
+            (),
+            token.text,
+            reason=f"expression nests deeper than the limit of {MAX_DEPTH} levels",
+        )
+    return depth + 1
+
+
 class _Parser:
+    # Each rule returns its expression with that expression's depth.
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
         self.chains: list[list[Expr]] = []
+        # Open parentheses around the current position: bounded before
+        # descending, since each one is three frames of recursion.
+        self.open = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -170,48 +197,52 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expression(self) -> Expr:
-        factors = [self.term()]
+    def expression(self) -> tuple[Expr, int]:
+        expr, depth = self.term()
+        factors = [expr]
         while self.peek().kind == "STAR":
-            self.advance()
-            factors.append(self.term())
+            star = self.advance()
+            factor, factor_depth = self.term()
+            factors.append(factor)
+            depth = _deeper(max(depth, factor_depth), star)
         defaulted = len(factors) >= 3
         if defaulted:
             self.chains.append(list(factors))
-        expr = factors[0]
         for factor in factors[1:]:
             expr = Product(expr, factor, defaulted=defaulted)
-        return expr
+        return expr, depth
 
-    def term(self) -> Expr:
-        expr = self.atom()
+    def term(self) -> tuple[Expr, int]:
+        expr, depth = self.atom()
         while True:
-            kind = self.peek().kind
-            if kind == "CONJ":
-                self.advance()
+            token = self.peek()
+            if token.kind == "CONJ":
                 expr = Conj(expr)
-            elif kind == "INV":
-                self.advance()
+            elif token.kind == "INV":
                 expr = Inv(expr)
             else:
-                return expr
+                return expr, depth
+            self.advance()
+            depth = _deeper(depth, token)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         token = self.peek()
         if token.kind == "LITERAL":
             self.advance()
-            return Literal(token.value)
+            return Literal(token.value), 0
         if token.kind == "IDENT":
             self.advance()
-            return Var(token.text)
+            return Var(token.text), 0
         if token.kind == "LPAREN":
+            self.open = _deeper(self.open, token)
             self.advance()
-            expr = self.expression()
+            expr, depth = self.expression()
             closing = self.peek()
             if closing.kind != "RPAREN":
                 raise ParseError(closing.pos, ("')'",), closing.text)
             self.advance()
-            return expr
+            self.open -= 1
+            return expr, _deeper(depth, token)
         raise ParseError(token.pos, ("literal", "identifier", "'('"), token.text)
 
 
@@ -219,7 +250,7 @@ def parse_with_info(source: str, backend: str = EXACT) -> tuple[Expr, list[list[
     """Parse and also return the product chains whose grouping was defaulted
     (length >= 3 with no explicit parentheses), for associativity warnings."""
     parser = _Parser(_tokenize(source, backend))
-    expr = parser.expression()
+    expr, _ = parser.expression()
     trailing = parser.peek()
     if trailing.kind != "END":
         raise ParseError(trailing.pos, ("'*'", "end of input"), trailing.text)

@@ -47,6 +47,22 @@ class TestEval:
         assert code == 0
         assert out == "result\t2,-3/4,0,0,0,0,0,1\n"
 
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 2000 + "e1" + ")" * 2000,
+            "e1" + "~" * 3000,
+            "*".join(["e1"] * 3000),
+        ],
+        ids=["parentheses", "postfix", "chain"],
+    )
+    def test_deep_expression_is_a_one_line_usage_error(self, capsys, expr):
+        code, out, err = run_cli(capsys, "eval", expr)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "expression nests deeper than the limit of 200 levels" in err
+
     def test_defaulted_chain_warning_cites_both_groupings(self, capsys):
         code, out, err = run_cli(capsys, "eval", "e1*e2*e4")
         assert code == 0

@@ -344,6 +344,24 @@ class TestConstructionAndBackends:
         with pytest.raises(NonFiniteError):
             Octonion([bad] + [0] * 7)
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_named_constructors_match_the_list_construction(self, backend):
+        if backend == "float":
+            z, o, reals = 0.0, 1.0, [2.5, -0.0, -1e-300]
+        else:
+            z, o, reals = 0, 1, [0, -3, True, Fraction(-7, 4), Fraction(6, 3)]
+        cases = [(Octonion.zero(backend), [z] * 8), (Octonion.one(backend), [o] + [z] * 7)]
+        cases += [
+            (Octonion.unit(k, backend), [o if i == k else z for i in range(8)])
+            for k in range(8)
+        ]
+        cases += [(Octonion.from_real(r), [r] + [z] * 7) for r in reals]
+        for built, coefficients in cases:
+            expected = Octonion(coefficients)
+            assert (built._v, built._d) == (expected._v, expected._d)
+            assert list(map(type, built._v)) == list(map(type, expected._v))
+            assert [float(c).hex() for c in built.c] == [float(c).hex() for c in expected.c]
+
     def test_backend_inference(self):
         assert Octonion([1] * 8).backend == "exact"
         assert Octonion([Fraction(1, 2)] * 8).backend == "exact"

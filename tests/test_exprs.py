@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -19,7 +21,7 @@ from octalg import (
     render_expr,
 )
 from octalg.core import EXACT
-from octalg.exprs import Conj, Inv, Literal, Product, Var, _Token, _tokenize
+from octalg.exprs import MAX_DEPTH, Conj, Inv, Literal, Product, Var, _Token, _tokenize
 
 from tests.strategies import backends, octonions, source_text, unit
 
@@ -95,6 +97,48 @@ class TestParse:
             parse(text, backend)
         except ValueError:
             pass
+
+
+def _deep(shape: str, depth: int) -> str:
+    """An expression of one shape, nested ``depth`` levels deep."""
+    if shape == "parentheses":
+        return "(" * depth + "e1" + ")" * depth
+    if shape == "postfix":
+        return "e1" + "~" * depth
+    return "*".join(["e1"] * (depth + 1))
+
+
+class TestDepthLimit:
+    SHAPES = ["parentheses", "postfix", "chain"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_the_limit_parses_evaluates_and_renders(self, shape):
+        expr = parse(_deep(shape, MAX_DEPTH))
+        e1 = unit(1)
+        expected = {
+            "parentheses": e1,
+            "postfix": e1 if MAX_DEPTH % 2 == 0 else -e1,
+            "chain": reduce(mul, [e1] * (MAX_DEPTH + 1)),
+        }
+        assert eval_expr(expr) == expected[shape]
+        assert parse(render_expr(expr)) == expr
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_past_the_limit_is_refused_where_it_passes(self, shape):
+        source = _deep(shape, MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match=f"limit of {MAX_DEPTH} levels") as info:
+            parse(source)
+        # The (MAX_DEPTH + 1)-th '(', '~' or '*' from the left.
+        offsets = {"parentheses": MAX_DEPTH, "postfix": 2 + MAX_DEPTH, "chain": 3 * MAX_DEPTH + 2}
+        assert info.value.offset == offsets[shape]
+        assert source[info.value.offset] in "(~*"
+
+    def test_depth_counts_every_level_kind(self):
+        # One parenthesis pair, one postfix and one product per level.
+        levels = MAX_DEPTH // 3
+        parse("e1*(" * levels + "e1" + ")~" * levels)
+        with pytest.raises(ParseError, match="limit"):
+            parse("e1*(" * (levels + 1) + "e1" + ")~" * (levels + 1))
 
 
 class TestNodeValues:

@@ -1,5 +1,6 @@
-"""Seeded sampling: the random_octonion stream is pinned, since the
-acceptance suite's 1000-case streams and the benchmark draw from it."""
+"""Seeded sampling: the random_octonion and random_word streams are pinned,
+since the acceptance suite's 1000-case streams and the benchmark draw from
+them, and every sampler matches a randint/choice reference draw for draw."""
 
 import hashlib
 import random
@@ -8,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from octalg import Octonion
-from octalg.sampling import DENOMINATOR_RANGE, NUMERATOR_RANGE, random_octonion
+from octalg.sampling import (
+    DENOMINATOR_RANGE,
+    NUMERATOR_RANGE,
+    random_octonion,
+    random_scalar,
+    random_word,
+)
 
 
 def _fraction_octonion(rng, backend, nonzero):
@@ -40,23 +47,78 @@ def test_matches_the_fraction_construction(backend, nonzero):
 
 
 def test_nonzero_redraws_consume_the_same_stream():
-    # A stream whose first draw is zero: all 8 numerators come out 0.
+    # A stream whose first 8 numerator draws all map to 0, so the first
+    # octonion drawn is zero.  `randint` draws through the overridden
+    # `getrandbits` too, so the reference sees the same stream.
+    low, high = NUMERATOR_RANGE
+    numerator_bits = (high - low + 1).bit_length()
+    assert numerator_bits != (DENOMINATOR_RANGE[1] - DENOMINATOR_RANGE[0] + 1).bit_length()
+
     class ZeroFirst(random.Random):
         def __init__(self):
             super().__init__(7)
             self.calls = 0
+            self.zeroed = 0
 
-        def randint(self, a, b):
+        def getrandbits(self, k):
             self.calls += 1
-            if self.calls <= 16 and (a, b) == NUMERATOR_RANGE:
-                return 0
-            return super().randint(a, b)
+            if k == numerator_bits and self.zeroed < 8:
+                self.zeroed += 1
+                return -low
+            return super().getrandbits(k)
 
     fast, slow = ZeroFirst(), ZeroFirst()
     x = random_octonion(fast, "exact", nonzero=True)
     assert x and x == _fraction_octonion(slow, "exact", True)
-    assert fast.calls == slow.calls == 32
+    assert fast.zeroed == slow.zeroed == 8
+    assert fast.calls == slow.calls >= 32
     assert fast.getstate() == slow.getstate()
+
+
+def _randint_scalar(rng, backend, nonzero):
+    """`random_scalar` restated through `randint` and Fraction."""
+    while True:
+        value = Fraction(rng.randint(*NUMERATOR_RANGE), rng.randint(*DENOMINATOR_RANGE))
+        if value or not nonzero:
+            return float(value) if backend == "float" else value
+
+
+def _randint_word(rng, max_length):
+    """`random_word` restated through `randint` and `choice`."""
+    letters = ("x", "y", "x~", "y~", "x^-1", "y^-1", "scalar")
+    word = []
+    for _ in range(rng.randint(1, max_length)):
+        letter = rng.choice(letters)
+        word.append(_randint_scalar(rng, "exact", True) if letter == "scalar" else letter)
+    return word
+
+
+@pytest.mark.parametrize("nonzero", [False, True], ids=["any", "nonzero"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_scalar_matches_randint(backend, nonzero):
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            x = random_scalar(fast, backend, nonzero=nonzero)
+            y = _randint_scalar(slow, backend, nonzero)
+            assert type(x) is type(y) and x == y
+            if backend == "float":
+                assert x.hex() == y.hex()
+        assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("max_length", [1, 3, 8, 9])
+def test_word_matches_randint_and_choice(max_length):
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_word(fast, max_length) == _randint_word(slow, max_length)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_word_refuses_an_empty_length_range():
+    with pytest.raises(ValueError, match="max_length"):
+        random_word(random.Random(0), 0)
 
 
 # sha256 over the first 500 draws of random.Random(20240607), recorded with
@@ -80,3 +142,18 @@ def test_golden_stream(backend):
             digest.update(",".join(c.hex() for c in x.c).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == GOLDEN_STREAM[backend]
+
+
+# sha256 over the first 500 `random_word` draws of random.Random(20240607)
+# at the default max_length, recorded with the randint/choice sampler:
+# per draw, repr(word) followed by a newline.
+GOLDEN_WORDS = "524032a4b3f68af79bd6f8bf6bf2368d3082a825537adcdc3f269f17b622dbff"
+
+
+def test_golden_words():
+    rng = random.Random(20240607)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        digest.update(repr(random_word(rng)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN_WORDS
