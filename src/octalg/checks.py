@@ -24,6 +24,9 @@ from .brackets import (
     schafer_residual,
 )
 from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _Record
+# The comparison rule lives in core, so that the CLI's bracket commands need
+# not load this module; both names stay importable from here as well.
+from .core import _eq, _scaled_tolerance  # noqa: F401
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import tree_products
 
@@ -50,23 +53,6 @@ class CheckReport(_Record):
     @property
     def ok(self) -> bool:
         return self.failures == 0
-
-
-def _scaled_tolerance(tolerance, *values: Octonion):
-    scale = 1.0
-    for v in values:
-        scale = max(scale, max(abs(c) for c in v.c))
-    return tolerance * scale
-
-
-def _eq(a: Octonion, b: Octonion, tolerance, *scale_by: Octonion) -> bool:
-    """Compare a and b, on the float backend at ``tolerance`` times the
-    largest coefficient of ``scale_by`` (default: of a and b).  An inf
-    coefficient makes the scaled tolerance non-finite and the values unequal."""
-    if a.backend == EXACT:
-        return a == b
-    scaled = _scaled_tolerance(tolerance, *(scale_by or (a, b)))
-    return math.isfinite(scaled) and a.equals(b, scaled)
 
 
 def _scalar_eq(a, b, tolerance) -> bool:

@@ -30,18 +30,15 @@ import argparse
 import math
 import sys
 
-from .brackets import (
-    additive_associator,
-    additive_commutator,
-    multiplicative_associator,
-    multiplicative_commutator,
-)
-from .checks import _eq, run_checks
+# Only what parsing the command line needs is imported here: each command
+# imports the modules it runs, so a process loads no more than its
+# subcommand uses.
 from .core import (
     DEFAULT_FLOAT_TOLERANCE,
     EXACT,
     FLOAT,
     Octonion,
+    _eq,
     require_tolerance,
 )
 from .errors import (
@@ -50,21 +47,6 @@ from .errors import (
     NonFiniteError,
     UnboundVariableError,
     ZeroInverseError,
-)
-from .exprs import Environment, eval_expr, parse_with_info
-from .sampling import DEFAULT_SEED
-from .textform import format_coefficients, format_octonion, parse_octonion
-from .trees import (
-    _matrix_from_products,
-    _require_matrix_factors,
-    _tree_labels,
-    evaluate,
-    format_matrix_machine,
-    format_matrix_text,
-    left_comb,
-    right_comb,
-    tree_products,
-    verify_matrix,
 )
 
 EXIT_OK = 0
@@ -134,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[common], help="run the randomized identity suite"
     )
     p_check.add_argument("--cases", type=int, default=100, help="cases per identity")
-    p_check.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
+    # Default None: sampling.DEFAULT_SEED, resolved when the suite runs.
+    p_check.add_argument("--seed", type=int, default=None, help="random seed")
 
     return parser
 
@@ -177,6 +160,8 @@ def _require_finite(value: Octonion, what: str) -> None:
 
 
 def _emit_value(value: Octonion, fmt: str) -> None:
+    from .textform import format_coefficients, format_octonion
+
     _require_finite(value, "the result")
     if fmt == "machine":
         print(f"result\t{format_coefficients(value)}")
@@ -189,6 +174,9 @@ class UsageError(ValueError):
 
 
 def _cmd_eval(args, tolerance) -> int:
+    from .exprs import Environment, eval_expr, parse_with_info
+    from .textform import parse_octonion
+
     env = Environment()
     for binding in args.let:
         name, sep, text = binding.partition("=")
@@ -203,6 +191,9 @@ def _cmd_eval(args, tolerance) -> int:
 
 
 def _warn_defaulted_chains(chains, env, tolerance) -> None:
+    from .exprs import eval_expr
+    from .textform import format_octonion
+
     # Silent defaulting is a correctness hazard in a non-associative algebra:
     # always flag it, and cite both bracketings when they disagree.
     for factors in chains:
@@ -213,8 +204,13 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
         )
         try:
             values = [eval_expr(f, env) for f in factors]
-            left = evaluate(left_comb(len(values)), values)
-            right = evaluate(right_comb(len(values)), values)
+            # ((v1*v2)*v3)*... and v1*(v2*(...*vn)).
+            left = values[0]
+            for v in values[1:]:
+                left = left * v
+            right = values[-1]
+            for v in reversed(values[:-1]):
+                right = v * right
         except (ZeroInverseError, UnboundVariableError, BackendMismatchError):
             continue
         # An overflowed grouping is refused as a result; it says nothing
@@ -230,6 +226,9 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
 
 
 def _cmd_commutator(args, tolerance) -> int:
+    from .brackets import additive_commutator, multiplicative_commutator
+    from .textform import parse_octonion
+
     x = parse_octonion(args.x, args.backend)
     y = parse_octonion(args.y, args.backend)
     if args.flavor == "additive":
@@ -243,6 +242,9 @@ def _cmd_commutator(args, tolerance) -> int:
 
 
 def _cmd_associator(args, tolerance) -> int:
+    from .brackets import additive_associator, multiplicative_associator
+    from .textform import parse_octonion
+
     x = parse_octonion(args.x, args.backend)
     y = parse_octonion(args.y, args.backend)
     z = parse_octonion(args.z, args.backend)
@@ -268,6 +270,17 @@ def _emit_check_line(label: str, ok: bool, fmt: str) -> None:
 
 
 def _cmd_orders(args, tolerance) -> int:
+    from .textform import format_coefficients, format_octonion, parse_octonion
+    from .trees import (
+        _matrix_from_products,
+        _require_matrix_factors,
+        _tree_labels,
+        format_matrix_machine,
+        format_matrix_text,
+        tree_products,
+        verify_matrix,
+    )
+
     factors = [parse_octonion(text, args.backend) for text in args.factors]
     n = len(factors)
     if args.matrix:
@@ -315,10 +328,14 @@ def _require_representable_products(factors, products) -> None:
 
 
 def _cmd_check(args, tolerance) -> int:
+    from .checks import run_checks
+    from .sampling import DEFAULT_SEED
+
     if args.cases < 1:
         raise UsageError("--cases must be at least 1")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     reports = run_checks(
-        cases=args.cases, seed=args.seed, backend=args.backend, tolerance=tolerance
+        cases=args.cases, seed=seed, backend=args.backend, tolerance=tolerance
     )
     all_ok = True
     for report in reports:

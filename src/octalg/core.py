@@ -61,6 +61,23 @@ def require_tolerance(tolerance: Scalar) -> None:
         )
 
 
+def _scaled_tolerance(tolerance, *values: Octonion):
+    scale = 1.0
+    for v in values:
+        scale = max(scale, max(abs(c) for c in v.c))
+    return tolerance * scale
+
+
+def _eq(a: Octonion, b: Octonion, tolerance, *scale_by: Octonion) -> bool:
+    """Compare a and b, on the float backend at ``tolerance`` times the
+    largest coefficient of ``scale_by`` (default: of a and b).  An inf
+    coefficient makes the scaled tolerance non-finite and the values unequal."""
+    if a.backend == EXACT:
+        return a == b
+    scaled = _scaled_tolerance(tolerance, *(scale_by or (a, b)))
+    return math.isfinite(scaled) and a.equals(b, scaled)
+
+
 def _cd_conjugate(v: tuple) -> tuple:
     return (v[0],) + tuple(-a for a in v[1:])
 

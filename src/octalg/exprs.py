@@ -264,34 +264,49 @@ def parse(source: str, backend: str = EXACT) -> Expr:
 
 # -- evaluation and rendering ----------------------------------------------
 
+def _postorder(expr: Expr):
+    """Every node of ``expr``, each after its operands, the left one first;
+    walked on an explicit stack, so depth is not bounded by the recursion
+    limit."""
+    todo = [(expr, False)]
+    while todo:
+        e, ready = todo.pop()
+        if ready or isinstance(e, (Literal, Var)):
+            yield e
+        elif isinstance(e, Product):
+            todo += ((e, True), (e.right, False), (e.left, False))
+        elif isinstance(e, (Conj, Inv)):
+            todo += ((e, True), (e.inner, False))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+
+
 def eval_expr(expr: Expr, env: Environment | None = None) -> Octonion:
     """Structurally evaluate; products follow the tree exactly."""
     if env is None:
         env = Environment()
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Var):
-        return env.lookup(expr.name)
-    if isinstance(expr, Conj):
-        return eval_expr(expr.inner, env).conjugate()
-    if isinstance(expr, Inv):
-        return eval_expr(expr.inner, env).inverse()
-    if isinstance(expr, Product):
-        return eval_expr(expr.left, env) * eval_expr(expr.right, env)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _literal_text(e: Literal) -> str:
-    return format_octonion(e.value)
+    values = []
+    for e in _postorder(expr):
+        if isinstance(e, Literal):
+            values.append(e.value)
+        elif isinstance(e, Var):
+            values.append(env.lookup(e.name))
+        elif isinstance(e, Conj):
+            values.append(values.pop().conjugate())
+        elif isinstance(e, Inv):
+            values.append(values.pop().inverse())
+        else:
+            right = values.pop()
+            values.append(values.pop() * right)
+    return values[0]
 
 
 def _is_multi_term(text: str) -> bool:
     return " + " in text or " - " in text
 
 
-def _render_tight(e: Expr) -> str:
+def _render_tight(e: Expr, text: str) -> str:
     # Operand position: products and multi-term literals need parentheses.
-    text = render_expr(e)
     if isinstance(e, Product) or (isinstance(e, Literal) and _is_multi_term(text)):
         return f"({text})"
     return text
@@ -299,17 +314,19 @@ def _render_tight(e: Expr) -> str:
 
 def render_expr(e: Expr) -> str:
     """Render with minimal parentheses; reparsing gives an equal tree."""
-    if isinstance(e, Literal):
-        return _literal_text(e)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Conj):
-        return _render_tight(e.inner) + "~"
-    if isinstance(e, Inv):
-        return _render_tight(e.inner) + "^-1"
-    if isinstance(e, Product):
-        left = render_expr(e.left)
-        if isinstance(e.left, Literal) and _is_multi_term(left):
-            left = f"({left})"
-        return f"{left}*{_render_tight(e.right)}"
-    raise TypeError(f"not an expression node: {e!r}")
+    texts = []
+    for node in _postorder(e):
+        if isinstance(node, Literal):
+            texts.append(format_octonion(node.value))
+        elif isinstance(node, Var):
+            texts.append(node.name)
+        elif isinstance(node, Product):
+            right = _render_tight(node.right, texts.pop())
+            left = texts.pop()
+            if isinstance(node.left, Literal) and _is_multi_term(left):
+                left = f"({left})"
+            texts.append(f"{left}*{right}")
+        else:
+            suffix = "~" if isinstance(node, Conj) else "^-1"
+            texts.append(_render_tight(node.inner, texts.pop()) + suffix)
+    return texts[0]

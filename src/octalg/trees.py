@@ -56,11 +56,22 @@ class Node(_Record):
 ProductTree = Union[Leaf, Node]
 
 
+def _postorder(tree: ProductTree):
+    """Every node of ``tree``, each after its two subtrees, the left one
+    first; walked on an explicit stack, so depth is not bounded by the
+    recursion limit."""
+    todo = [(tree, False)]
+    while todo:
+        t, ready = todo.pop()
+        if ready or isinstance(t, Leaf):
+            yield t
+        else:
+            todo += ((t, True), (t.right, False), (t.left, False))
+
+
 def leaf_positions(tree: ProductTree) -> list[int]:
     """Leaf positions in in-order traversal."""
-    if isinstance(tree, Leaf):
-        return [tree.position]
-    return leaf_positions(tree.left) + leaf_positions(tree.right)
+    return [t.position for t in _postorder(tree) if isinstance(t, Leaf)]
 
 
 def _span_fold(leaves: Sequence, join) -> list:
@@ -141,13 +152,14 @@ def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
         raise ShapeMismatchError(
             f"tree leaves must be positions 1..{len(factors)} in order"
         )
-    return _evaluate(tree, factors)
-
-
-def _evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
-    if isinstance(tree, Leaf):
-        return factors[tree.position - 1]
-    return _evaluate(tree.left, factors) * _evaluate(tree.right, factors)
+    values = []
+    for t in _postorder(tree):
+        if isinstance(t, Leaf):
+            values.append(factors[t.position - 1])
+        else:
+            right = values.pop()
+            values.append(values.pop() * right)
+    return values[0]
 
 
 def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:

@@ -1,6 +1,11 @@
 """The package's public surface, pinned so that an export is added or
 removed only on purpose."""
 
+import subprocess
+import sys
+
+import pytest
+
 import octalg
 
 PUBLIC_NAMES = {
@@ -57,3 +62,18 @@ def test_all_resolves_once_and_matches_the_pinned_surface():
     for name in exported:
         assert namespace[name] is getattr(octalg, name)
     assert set(exported) == PUBLIC_NAMES
+
+
+def test_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        octalg.no_such_name
+
+
+def test_dir_lists_every_export_before_any_is_resolved():
+    # A fresh interpreter: in this session every export is already resolved.
+    code = (
+        "import sys, octalg; names = dir(octalg); "
+        "print(set(octalg.__all__) <= set(names), sorted(sys.modules).count('octalg.trees'))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout.split() == ["True", "0"], result

@@ -297,8 +297,9 @@ class TestOrders:
 
     @pytest.fixture
     def product_calls(self, monkeypatch):
-        """The factor count of every `tree_products` call, wherever made."""
-        from octalg import cli, trees
+        """The factor count of every `tree_products` call, wherever made: the
+        CLI imports it from `trees` when a command runs."""
+        from octalg import trees
 
         calls = []
         tree_products = trees.tree_products
@@ -307,7 +308,6 @@ class TestOrders:
             calls.append(len(factors))
             return tree_products(factors)
 
-        monkeypatch.setattr(cli, "tree_products", counting)
         monkeypatch.setattr(trees, "tree_products", counting)
         return calls
 
@@ -426,13 +426,14 @@ class TestOrders:
         # 10x the tolerance added to coefficient 0 of the diagonal entry (1, 1)
         # breaks "diagonal all 1"; added to coefficient 5 of the off-diagonal
         # entry (1, 2), it breaks the conjugate symmetry.
-        from octalg import cli, trees
+        from octalg import trees
 
         j = 0 if coefficient == 0 else 1
+        build = trees._matrix_from_products
         monkeypatch.setattr(
-            cli, "_matrix_from_products",
+            trees, "_matrix_from_products",
             lambda factors, products: perturbed(
-                trees._matrix_from_products(factors, products), 0, j, coefficient, 1e-11
+                build(factors, products), 0, j, coefficient, 1e-11
             ),
         )
         code, out, _ = run_cli(
@@ -494,6 +495,16 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--cases", "0")
         assert code == 1
 
+    def test_default_seed_is_the_sampling_default(self, capsys):
+        from octalg.sampling import DEFAULT_SEED
+
+        _, default, _ = run_cli(capsys, "check", "--cases", "1", "--format", "machine")
+        _, named, _ = run_cli(
+            capsys, "check", "--cases", "1", "--format", "machine", "--seed", str(DEFAULT_SEED)
+        )
+        assert DEFAULT_SEED == 12345
+        assert default == named
+
 
 def _octonion_from_machine_line(line):
     from fractions import Fraction
@@ -552,6 +563,68 @@ class TestGlobalFlags:
         code = main(["commutator", "e1"])
         capsys.readouterr()
         assert code == 1
+
+
+# Run in a fresh interpreter, since this test session has imported every
+# module: runs the command line on sys.argv[1:] with its output discarded,
+# then prints the exit code and the loaded octalg and numpy modules.
+_LOADED_MODULES = """
+import contextlib, io, sys
+from octalg import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "octalg"))
+"""
+
+
+def _loaded_modules(*argv):
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True,
+        check=True,
+    )
+    code, *modules = result.stdout.split()
+    assert code == "0", result
+    return {m.removeprefix("octalg.") for m in modules}
+
+
+class TestColdStart:
+    """Each subcommand loads only the modules it runs."""
+
+    def test_import_loads_only_the_parser_modules(self):
+        assert _loaded_modules() == {"octalg", "cli", "core", "errors"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("commutator", "1+e1", "e2"),
+            ("commutator", "1+e1", "e2", "--additive"),
+            ("associator", "1+e1", "e2", "e4"),
+            ("associator", "1+e1", "e2", "e4", "--additive", "--backend", "float"),
+        ],
+        ids=["commutator", "additive-commutator", "associator", "additive-float-associator"],
+    )
+    def test_brackets_load_no_trees_exprs_checks_or_sampling(self, argv):
+        loaded = _loaded_modules(*argv)
+        assert "brackets" in loaded
+        assert not loaded & {"trees", "exprs", "checks", "sampling"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "(e1*e2)*e4"),
+            ("eval", "x*y~*z^-1", "--let", "x=1+e1", "--let", "y=e2", "--let", "z=e4"),
+        ],
+        ids=["grouped", "defaulted-chain"],
+    )
+    def test_eval_loads_no_trees_brackets_or_checks(self, argv):
+        loaded = _loaded_modules(*argv)
+        assert "exprs" in loaded
+        assert not loaded & {"trees", "brackets", "checks"}
+
+    def test_exact_matrix_loads_no_exprs_brackets_checks_or_numpy(self):
+        loaded = _loaded_modules("orders", "1+e1", "e2", "e4", "3-e5", "--matrix")
+        assert "trees" in loaded
+        assert not loaded & {"exprs", "brackets", "checks", "numpy"}
 
 
 class TestConsoleScript:

@@ -233,6 +233,47 @@ class TestEval:
         assert eval_expr(parse("x*y*z"), env) == (x * y) * unit(4)
 
 
+# Expressions 2,000 levels deep, built in code: the depth limit guards only
+# text, so evaluation and rendering must not recurse once per level.
+DEEP = 2000
+X = Octonion.parse("1 + 2e1 - 1/3e5")
+
+
+def _deep_expr(shape):
+    expr = Literal(X) if shape in ("conjugates", "inverses") else Var("x")
+    for _ in range(DEEP):
+        if shape == "conjugates":
+            expr = Conj(expr)
+        elif shape == "inverses":
+            expr = Inv(expr)
+        elif shape == "left products":
+            expr = Product(expr, Var("y"))
+        else:
+            expr = Product(Var("y"), expr)
+    return expr
+
+
+class TestDeepExpressionsBuiltInCode:
+    ENV = Environment({"x": X, "y": unit(3)})
+
+    EXPECTED = {
+        "conjugates": ("(1 + 2e1 - 1/3e5)" + "~" * DEEP, X),
+        "inverses": ("(1 + 2e1 - 1/3e5)" + "^-1" * DEEP, X),
+        "left products": ("x" + "*y" * DEEP, reduce(mul, [X] + [unit(3)] * DEEP)),
+        "right products": (
+            "y*(" * (DEEP - 1) + "y*x" + ")" * (DEEP - 1),
+            reduce(lambda acc, f: f * acc, [unit(3)] * DEEP, X),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", EXPECTED)
+    def test_evaluate_and_render(self, shape):
+        text, value = self.EXPECTED[shape]
+        expr = _deep_expr(shape)
+        assert eval_expr(expr, self.ENV) == value
+        assert render_expr(expr) == text
+
+
 def _random_expr(gen: random.Random, depth: int = 0):
     roll = gen.random()
     if depth >= 4 or roll < 0.3:

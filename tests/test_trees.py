@@ -1,7 +1,9 @@
 """Tree enumeration, evaluation, and the order-conversion matrix."""
 
 import copy
+import functools
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -35,6 +37,7 @@ from octalg.trees import (
     CATALAN,
     format_matrix_machine,
     format_matrix_text,
+    leaf_positions,
     render_tree,
     verify_matrix,
 )
@@ -143,6 +146,28 @@ class TestEvaluate:
             evaluate(left_comb(3), [ONE, ONE])
         with pytest.raises(ShapeMismatchError):
             evaluate(Node(Leaf(2), Leaf(1)), [ONE, ONE])
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_combs_2000_deep(self, rng, backend):
+        # Signed basis units keep exact values small, and near-unit factors
+        # keep float products in range.  Each comb multiplies the same
+        # operands in the same order as the fold, so floats agree bit for bit.
+        factors = []
+        for _ in range(2000):
+            if backend == "exact":
+                factors.append(rng.choice((1, -1)) * unit(rng.randrange(8)))
+            else:
+                x = random_octonion(rng, backend, nonzero=True)
+                factors.append(x * (1 / math.sqrt(x.norm_sq())))
+        positions = list(range(1, 2001))
+        assert leaf_positions(left_comb(2000)) == positions
+        assert leaf_positions(right_comb(2000)) == positions
+        left = functools.reduce(operator.mul, factors)
+        right = functools.reduce(lambda acc, f: f * acc, reversed(factors))
+        got = [evaluate(left_comb(2000), factors), evaluate(right_comb(2000), factors)]
+        assert got == [left, right]
+        if backend == "float":
+            assert _hexes(got) == _hexes([left, right])
 
 
 # A two-generator word with scalar letters, conjugates and inverses; its
@@ -423,6 +448,40 @@ def _per_entry_verdicts(m, tolerance):
         for j in range(m.size)
     )
     return diagonal_ok, symmetry_ok
+
+
+def _span_product(tree, factors):
+    """The product of ``factors`` under ``tree``, whose leaves may be any
+    run of consecutive positions: the sub-span product a subtree gives."""
+    if isinstance(tree, Leaf):
+        return factors[tree.position - 1]
+    return _span_product(tree.left, factors) * _span_product(tree.right, factors)
+
+
+class TestRotationOracle:
+    """Trees related by a rotation at the root, (A*B)*C and A*(B*C), differ
+    by the paper's three-factor associator of the sub-span products A, B, C,
+    since ((AB)C)^-1 = C^-1(B^-1 A^-1) in any composition algebra.  This ties
+    each such matrix entry to `multiplicative_associator`, computed apart
+    from the matrix."""
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_rotation_entries_are_the_three_factor_associator(self, n):
+        rng = random.Random(f"rotation-oracle-{n}")
+        factors = [random_octonion(rng, nonzero=True) for _ in range(n)]
+        trees = enumerate_trees(n)
+        m = associator_matrix(factors)
+        pairs = 0
+        for i, tree in enumerate(trees):
+            if isinstance(tree.left, Leaf):
+                continue
+            a, b, c = tree.left.left, tree.left.right, tree.right
+            j = trees.index(Node(a, Node(b, c)))
+            spans = (_span_product(t, factors) for t in (a, b, c))
+            assert m.entry(i, j) == multiplicative_associator(*spans)
+            pairs += 1
+        # Every tree whose left subtree is not a leaf rotates at the root.
+        assert pairs == CATALAN[n - 1] - CATALAN[n - 2]
 
 
 class TestMatrixStorage:
