@@ -23,10 +23,7 @@ from .brackets import (
     multiplicative_commutator,
     schafer_residual,
 )
-from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _Record
-# The comparison rule lives in core, so that the CLI's bracket commands need
-# not load this module; both names stay importable from here as well.
-from .core import _eq, _scaled_tolerance  # noqa: F401
+from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _eq, _Record
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import tree_products
 

@@ -202,17 +202,14 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
             f"{len(factors)} groups to the left by default",
             file=sys.stderr,
         )
-        try:
-            values = [eval_expr(f, env) for f in factors]
-            # ((v1*v2)*v3)*... and v1*(v2*(...*vn)).
-            left = values[0]
-            for v in values[1:]:
-                left = left * v
-            right = values[-1]
-            for v in reversed(values[:-1]):
-                right = v * right
-        except (ZeroInverseError, UnboundVariableError, BackendMismatchError):
-            continue
+        values = [eval_expr(f, env) for f in factors]
+        # ((v1*v2)*v3)*... and v1*(v2*(...*vn)).
+        left = values[0]
+        for v in values[1:]:
+            left = left * v
+        right = values[-1]
+        for v in reversed(values[:-1]):
+            right = v * right
         # An overflowed grouping is refused as a result; it says nothing
         # about whether the grouping matters.
         if not (_is_finite(left) and _is_finite(right)):

@@ -440,7 +440,7 @@ class Octonion:
         s = _sum_of_squares(v)
         if not s:
             raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
-        return _new([v[0] * d] + [-n * d for n in v[1:]], s)
+        return _new([n * d for n in self.conjugate()._v], s)
 
     # -- comparison ----------------------------------------------------
 
@@ -506,22 +506,47 @@ def _new(values, d) -> Octonion:
     return x
 
 
+def _postorder(root) -> list:
+    """Every record of the tree under ``root``, each after the sub-records
+    in its `_Record._children` fields, in field order.  Built on an explicit
+    stack, so depth is not bounded by the recursion limit: each record is
+    listed before its children, the last first, and the list is reversed.
+    A value without ``_children`` where a record belongs raises TypeError."""
+    order, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        try:
+            children = node._children
+        except AttributeError:
+            raise TypeError(f"not a record: {node!r}") from None
+        order.append(node)
+        if children:
+            todo += [getattr(node, name) for name in children]
+    order.reverse()
+    return order
+
+
 class _Record:
     """Base of the package's small records, the expression and tree nodes
     among them.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its
-    ``__init__`` through ``object.__setattr__``.  Instances refuse
-    assignment, compare and hash by exact type and `_key` (all fields,
-    unless a subclass narrows it), and show as ``Name(field=value, ...)``.
+    A subclass lists its fields in ``__slots__``, names those that hold
+    sub-records in ``_children``, and sets them in its ``__init__`` through
+    ``object.__setattr__``.  Instances refuse assignment, and compare, hash
+    and show as ``Name(field=value, ...)`` on `_postorder`, at any depth.
     """
 
     __slots__ = ()
+    _children = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    _key = _fields
+    def _key(self) -> tuple:
+        # Each node's type and other fields, in postorder.  Every type has a
+        # fixed number of children, so this sequence is the tree.
+        return tuple(
+            (node.__class__,)
+            + tuple(getattr(node, name) for name in node.__slots__ if name not in node._children)
+            for node in _postorder(self)
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -539,10 +564,17 @@ class _Record:
 
     def __reduce__(self):
         # Rebuilt through __init__, so copy and pickle never assign a field.
-        return self.__class__, self._fields()
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self):
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
-        )
-        return f"{self.__class__.__qualname__}({fields})"
+        texts = []
+        for node in _postorder(self):
+            first = len(texts) - len(node._children)
+            shown = dict(zip(node._children, texts[first:]))
+            del texts[first:]
+            fields = ", ".join(
+                f"{name}={shown.get(name) or repr(getattr(node, name))}"
+                for name in node.__slots__
+            )
+            texts.append(f"{node.__class__.__qualname__}({fields})")
+        return texts[0]

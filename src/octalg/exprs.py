@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import EXACT, Octonion, _Record
+from .core import EXACT, Octonion, _Record, _postorder
 from .errors import ParseError, ReservedIdentifierError, UnboundVariableError
 from .textform import UNIT_NAMES, WORD_RE, format_octonion, scan_octonion
 
@@ -43,22 +43,17 @@ class Var(_Record):
 
 
 class Product(_Record):
-    __slots__ = ("left", "right", "defaulted")
+    __slots__ = ("left", "right")
+    _children = ("left", "right")
 
-    def __init__(self, left: "Expr", right: "Expr", defaulted: bool = False):
+    def __init__(self, left: "Expr", right: "Expr"):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        # True when this grouping came from the left-associative default
-        # rather than from explicit parentheses.
-        object.__setattr__(self, "defaulted", defaulted)
-
-    def _key(self) -> tuple:
-        # Structural equality: how the grouping arose does not count.
-        return self.left, self.right
 
 
 class Conj(_Record):
     __slots__ = ("inner",)
+    _children = ("inner",)
 
     def __init__(self, inner: "Expr"):
         object.__setattr__(self, "inner", inner)
@@ -66,6 +61,7 @@ class Conj(_Record):
 
 class Inv(_Record):
     __slots__ = ("inner",)
+    _children = ("inner",)
 
     def __init__(self, inner: "Expr"):
         object.__setattr__(self, "inner", inner)
@@ -161,9 +157,10 @@ def _tokenize(source: str, backend: str) -> list[_Token]:
 # The deepest expression accepted.  A literal or identifier is depth 0; a
 # parenthesized expression, a postfix operator and a product each sit one
 # level above their deepest operand, so a flat chain of n factors is n - 1
-# deep.  Parsing, evaluation and rendering all recurse on this nesting, so
-# a deeper expression is refused here rather than left to exhaust
-# Python's recursion limit.
+# deep.  Evaluation, rendering, equality and repr walk any depth, but the
+# parser recurses on parentheses, and copy and pickle of a record go
+# through `__reduce__` once per level, so a deeper expression is refused
+# here rather than left to exhaust Python's recursion limit.
 MAX_DEPTH = 200
 
 
@@ -205,11 +202,10 @@ class _Parser:
             factor, factor_depth = self.term()
             factors.append(factor)
             depth = _deeper(max(depth, factor_depth), star)
-        defaulted = len(factors) >= 3
-        if defaulted:
-            self.chains.append(list(factors))
+        if len(factors) >= 3:
+            self.chains.append(factors)
         for factor in factors[1:]:
-            expr = Product(expr, factor, defaulted=defaulted)
+            expr = Product(expr, factor)
         return expr, depth
 
     def term(self) -> tuple[Expr, int]:
@@ -264,23 +260,6 @@ def parse(source: str, backend: str = EXACT) -> Expr:
 
 # -- evaluation and rendering ----------------------------------------------
 
-def _postorder(expr: Expr):
-    """Every node of ``expr``, each after its operands, the left one first;
-    walked on an explicit stack, so depth is not bounded by the recursion
-    limit."""
-    todo = [(expr, False)]
-    while todo:
-        e, ready = todo.pop()
-        if ready or isinstance(e, (Literal, Var)):
-            yield e
-        elif isinstance(e, Product):
-            todo += ((e, True), (e.right, False), (e.left, False))
-        elif isinstance(e, (Conj, Inv)):
-            todo += ((e, True), (e.inner, False))
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-
-
 def eval_expr(expr: Expr, env: Environment | None = None) -> Octonion:
     """Structurally evaluate; products follow the tree exactly."""
     if env is None:
@@ -295,9 +274,11 @@ def eval_expr(expr: Expr, env: Environment | None = None) -> Octonion:
             values.append(values.pop().conjugate())
         elif isinstance(e, Inv):
             values.append(values.pop().inverse())
-        else:
+        elif isinstance(e, Product):
             right = values.pop()
             values.append(values.pop() * right)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
     return values[0]
 
 
@@ -326,7 +307,9 @@ def render_expr(e: Expr) -> str:
             if isinstance(node.left, Literal) and _is_multi_term(left):
                 left = f"({left})"
             texts.append(f"{left}*{right}")
-        else:
+        elif isinstance(node, (Conj, Inv)):
             suffix = "~" if isinstance(node, Conj) else "^-1"
             texts.append(_render_tight(node.inner, texts.pop()) + suffix)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
     return texts[0]

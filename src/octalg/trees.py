@@ -28,6 +28,7 @@ from .core import (
     _Record,
     _new,
     _norm_range_error,
+    _postorder,
     require_tolerance,
 )
 from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
@@ -47,6 +48,7 @@ class Leaf(_Record):
 
 class Node(_Record):
     __slots__ = ("left", "right")
+    _children = ("left", "right")
 
     def __init__(self, left: "ProductTree", right: "ProductTree"):
         object.__setattr__(self, "left", left)
@@ -54,19 +56,6 @@ class Node(_Record):
 
 
 ProductTree = Union[Leaf, Node]
-
-
-def _postorder(tree: ProductTree):
-    """Every node of ``tree``, each after its two subtrees, the left one
-    first; walked on an explicit stack, so depth is not bounded by the
-    recursion limit."""
-    todo = [(tree, False)]
-    while todo:
-        t, ready = todo.pop()
-        if ready or isinstance(t, Leaf):
-            yield t
-        else:
-            todo += ((t, True), (t.right, False), (t.left, False))
 
 
 def leaf_positions(tree: ProductTree) -> list[int]:
@@ -136,13 +125,14 @@ def right_comb(n: int) -> ProductTree:
 def render_tree(tree: ProductTree, labels: Sequence[str] | None = None) -> str:
     """Render as an expression, e.g. ``(x1*x2)*x3``: leaf k as
     ``labels[k - 1]``, or as ``xk`` when no labels are given."""
-
-    def part(t: ProductTree) -> str:
+    texts = []
+    for t in _postorder(tree):
         if isinstance(t, Leaf):
-            return f"x{t.position}" if labels is None else labels[t.position - 1]
-        return f"({part(t.left)}*{part(t.right)})"
-
-    text = part(tree)
+            texts.append(f"x{t.position}" if labels is None else labels[t.position - 1])
+        else:
+            right = texts.pop()
+            texts.append(f"({texts.pop()}*{right})")
+    text = texts[0]
     return text if isinstance(tree, Leaf) else text[1:-1]
 
 
@@ -345,7 +335,7 @@ def _matrix_rows(matrix: AssociatorMatrix, exact_cell, float_cell):
             yield map(float_cell, row.tolist())
 
 
-def format_matrix_text(matrix: AssociatorMatrix, labels: Sequence[str] | None = None) -> str:
+def format_matrix_text(matrix: AssociatorMatrix) -> str:
     """Aligned plain-text table of the matrix entries."""
     from .textform import format_octonion, format_terms
 

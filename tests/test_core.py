@@ -425,6 +425,17 @@ class TestExactRepresentation:
         conj = (x.c[0],) + tuple(-a for a in x.c[1:])
         assert x.inverse().c == tuple(a / norm for a in conj)
 
+    def test_inverse_builds_on_the_conjugate(self, monkeypatch):
+        # One conjugation formula: a conjugate that forgets e7 also breaks
+        # the exact inverse, so the inverse-of-product identity catches it.
+        def forgets_e7(x):
+            v = x._v
+            return core._new([v[0]] + [-n for n in v[1:7]] + [v[7]], x._d)
+
+        monkeypatch.setattr(Octonion, "conjugate", forgets_e7)
+        (report,) = checks.run_checks(cases=3, seed=1, names=["inverse-of-product"])
+        assert not report.ok
+
     @given(octonions, st.integers(1, 60))
     def test_unreduced_results_are_reduced(self, x, k):
         scaled = (x * k) * Fraction(1, k)

@@ -22,6 +22,7 @@ from octalg import (
 )
 from octalg.core import EXACT
 from octalg.exprs import MAX_DEPTH, Conj, Inv, Literal, Product, Var, _Token, _tokenize
+from octalg.trees import Leaf
 
 from tests.strategies import backends, octonions, source_text, unit
 
@@ -31,17 +32,21 @@ class TestParse:
         assert parse("(x*y)*z") == Product(Product(Var("x"), Var("y")), Var("z"))
 
     def test_defaulted_chain_same_tree_but_flagged(self):
-        explicit = parse("(x*y)*z")
+        explicit, explicit_chains = parse_with_info("(x*y)*z")
         chained, chains = parse_with_info("x*y*z")
-        assert chained == explicit  # flags are excluded from equality
-        assert chained.defaulted
-        assert not explicit.defaulted
+        assert chained == explicit  # the tree does not record how it was grouped
         assert chains == [[Var("x"), Var("y"), Var("z")]]
+        assert explicit_chains == []
 
     def test_two_factor_product_not_flagged(self):
         expr, chains = parse_with_info("x*y")
-        assert not expr.defaulted
+        assert expr == Product(Var("x"), Var("y"))
         assert chains == []
+
+    def test_chains_inside_parentheses_are_flagged(self):
+        expr, chains = parse_with_info("(x*y*z)*w~")
+        assert expr == Product(Product(Product(Var("x"), Var("y")), Var("z")), Conj(Var("w")))
+        assert chains == [[Var("x"), Var("y"), Var("z")]]
 
     def test_postfix_chaining(self):
         assert parse("x~^-1") == Inv(Conj(Var("x")))
@@ -148,16 +153,16 @@ class TestNodeValues:
         assert Var("x") != ("x",)
 
     def test_defaulted_is_outside_equality_and_hash(self):
-        flagged = Product(Var("x"), Var("y"), defaulted=True)
-        plain = Product(Var("x"), Var("y"))
+        flagged, chains = parse_with_info("x*y*z")
+        plain, no_chains = parse_with_info("(x*y)*z")
         assert flagged == plain
         assert hash(flagged) == hash(plain)
-        assert flagged.defaulted and not plain.defaulted
+        assert chains and not no_chains
 
     def test_nodes_refuse_assignment(self):
         expr = parse("(2*x)~*y^-1")
         nodes = [
-            (expr, "left"), (expr, "defaulted"), (expr.left, "inner"),
+            (expr, "left"), (expr, "right"), (expr.left, "inner"),
             (expr.right, "inner"), (expr.left.inner.left, "value"),
             (expr.left.inner.right, "name"),
         ]
@@ -169,11 +174,18 @@ class TestNodeValues:
 
     def test_repr(self):
         assert repr(Product(Var("x"), Conj(Var("y")))) == (
-            "Product(left=Var(name='x'), right=Conj(inner=Var(name='y')), defaulted=False)"
+            "Product(left=Var(name='x'), right=Conj(inner=Var(name='y')))"
         )
         assert repr(_tokenize("x", EXACT)[0]) == (
             "_Token(kind='IDENT', pos=0, text='x', value=None)"
         )
+
+    def test_a_value_that_is_not_an_expression_node_is_a_type_error(self):
+        for bad in (42, Product(Literal(unit(1)), 42), Conj(Leaf(1))):
+            with pytest.raises(TypeError, match="42|Leaf"):
+                eval_expr(bad)
+            with pytest.raises(TypeError, match="42|Leaf"):
+                render_expr(bad)
 
     def test_tokens_compare_by_fields(self):
         assert _tokenize("x*", EXACT) == [
@@ -239,8 +251,8 @@ DEEP = 2000
 X = Octonion.parse("1 + 2e1 - 1/3e5")
 
 
-def _deep_expr(shape):
-    expr = Literal(X) if shape in ("conjugates", "inverses") else Var("x")
+def _deep_expr(shape, innermost=None):
+    expr = innermost or (Literal(X) if shape in ("conjugates", "inverses") else Var("x"))
     for _ in range(DEEP):
         if shape == "conjugates":
             expr = Conj(expr)
@@ -272,6 +284,25 @@ class TestDeepExpressionsBuiltInCode:
         expr = _deep_expr(shape)
         assert eval_expr(expr, self.ENV) == value
         assert render_expr(expr) == text
+
+    REPRS = {
+        "conjugates": "Conj(inner=" * DEEP + repr(Literal(X)) + ")" * DEEP,
+        "inverses": "Inv(inner=" * DEEP + repr(Literal(X)) + ")" * DEEP,
+        "left products": "Product(left=" * DEEP + "Var(name='x')" + ", right=Var(name='y'))" * DEEP,
+        "right products": "Product(left=Var(name='y'), right=" * DEEP + "Var(name='x')" + ")" * DEEP,
+    }
+
+    @pytest.mark.parametrize("shape", EXPECTED)
+    def test_compare_hash_and_repr(self, shape):
+        expr, twin = _deep_expr(shape), _deep_expr(shape)
+        assert expr == twin and not expr != twin
+        assert hash(expr) == hash(twin)
+        assert repr(expr) == self.REPRS[shape]
+        # Trees that differ only at their deepest operand, or in one node
+        # type, are unequal.
+        assert _deep_expr(shape, innermost=Var("z")) != expr
+        other = "inverses" if shape == "conjugates" else "conjugates"
+        assert _deep_expr(other) != expr
 
 
 def _random_expr(gen: random.Random, depth: int = 0):

@@ -126,6 +126,47 @@ class TestEnumeration:
         assert render_tree(left_comb(4)) == "((x1*x2)*x3)*x4"
         assert render_tree(right_comb(3), ["a", "b", "c"]) == "a*(b*c)"
 
+    def test_a_value_that_is_not_a_tree_is_a_type_error(self):
+        for bad in (42, Node(Leaf(1), 42)):
+            with pytest.raises(TypeError, match="42"):
+                render_tree(bad)
+            with pytest.raises(TypeError, match="42"):
+                evaluate(bad, [ONE, ONE])
+
+
+DEEP = 2000
+
+
+class TestCombs2000Deep:
+    """Equality, hashing, repr and rendering walk the tree, so they do not
+    recurse once per level."""
+
+    @pytest.mark.parametrize("comb", [left_comb, right_comb])
+    def test_compare_and_hash(self, comb):
+        tree, twin = comb(DEEP), comb(DEEP)
+        assert tree == twin and not tree != twin
+        assert hash(tree) == hash(twin)
+        assert tree != comb(DEEP - 1)
+
+    def test_a_difference_in_shape_or_at_the_deepest_leaf_counts(self):
+        assert left_comb(DEEP) != right_comb(DEEP)
+        tree = Leaf(0)
+        for k in range(2, DEEP + 1):
+            tree = Node(tree, Leaf(k))
+        assert tree != left_comb(DEEP)
+
+    def test_repr(self):
+        leaves = "".join(f", right=Leaf(position={k}))" for k in range(2, DEEP + 1))
+        assert repr(left_comb(DEEP)) == "Node(left=" * (DEEP - 1) + "Leaf(position=1)" + leaves
+        lefts = "".join(f"Node(left=Leaf(position={k}), right=" for k in range(1, DEEP))
+        assert repr(right_comb(DEEP)) == lefts + f"Leaf(position={DEEP})" + ")" * (DEEP - 1)
+
+    def test_render(self):
+        rights = "".join(f"*x{k})" for k in range(2, DEEP))
+        assert render_tree(left_comb(DEEP)) == "(" * (DEEP - 2) + "x1" + rights + f"*x{DEEP}"
+        lefts = "".join(f"x{k}*(" for k in range(1, DEEP - 1))
+        assert render_tree(right_comb(DEEP)) == lefts + f"x{DEEP - 1}*x{DEEP}" + ")" * (DEEP - 2)
+
 
 class TestEvaluate:
     def test_single_leaf(self):
