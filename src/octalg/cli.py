@@ -269,10 +269,10 @@ def _emit_check_line(label: str, ok: bool, fmt: str) -> None:
 def _cmd_orders(args, tolerance) -> int:
     from .textform import format_coefficients, format_octonion, parse_octonion
     from .trees import (
+        _machine_blocks,
         _matrix_from_products,
         _require_matrix_factors,
         _tree_labels,
-        format_matrix_machine,
         format_matrix_text,
         tree_products,
         verify_matrix,
@@ -303,7 +303,11 @@ def _cmd_orders(args, tolerance) -> int:
         return EXIT_OK
 
     if args.fmt == "machine":
-        print(format_matrix_machine(matrix))
+        # One row per write: the whole text of an 8-factor exact matrix
+        # would be 126 MB, held twice while it is joined.
+        for block in _machine_blocks(matrix):
+            sys.stdout.write(block)
+            sys.stdout.write("\n")
     else:
         print("order-conversion matrix (entry i j converts order i into order j):")
         print(format_matrix_text(matrix))

@@ -408,8 +408,12 @@ class Octonion:
 
     def conjugate(self) -> "Octonion":
         """Negate the imaginary part; reverses products: (xy)~ = y~ x~."""
+        # Negation keeps reduced numerators reduced: no gcd, unlike _new.
         v = self._v
-        return _new([v[0]] + [-x for x in v[1:]], self._d)
+        x = _alloc(Octonion)
+        _set_v(x, (v[0], *[-a for a in v[1:]]))
+        _set_d(x, self._d)
+        return x
 
     def norm_sq(self) -> Scalar:
         """The squared norm, sum of squared coefficients.
@@ -549,6 +553,8 @@ class _Record:
         )
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()
@@ -563,8 +569,9 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Rebuilt through __init__, so copy and pickle never assign a field.
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        # The flat `_key`, rebuilt on a stack by `_from_key`, so copy and
+        # pickle do not recurse once per level, and never assign a field.
+        return _from_key, (self._key(),)
 
     def __repr__(self):
         texts = []
@@ -578,3 +585,19 @@ class _Record:
             )
             texts.append(f"{node.__class__.__qualname__}({fields})")
         return texts[0]
+
+
+def _from_key(key):
+    """The record whose `_Record._key` is ``key``: each node is built through
+    its ``__init__``, which takes its ``__slots__`` in order, from the other
+    fields in its key entry and the records last built for its children."""
+    built = []
+    for cls, *fields in key:
+        first = len(built) - len(cls._children)
+        children = dict(zip(cls._children, built[first:]))
+        del built[first:]
+        others = iter(fields)
+        built.append(
+            cls(*[children[name] if name in children else next(others) for name in cls.__slots__])
+        )
+    return built[0]

@@ -157,10 +157,9 @@ def _tokenize(source: str, backend: str) -> list[_Token]:
 # The deepest expression accepted.  A literal or identifier is depth 0; a
 # parenthesized expression, a postfix operator and a product each sit one
 # level above their deepest operand, so a flat chain of n factors is n - 1
-# deep.  Evaluation, rendering, equality and repr walk any depth, but the
-# parser recurses on parentheses, and copy and pickle of a record go
-# through `__reduce__` once per level, so a deeper expression is refused
-# here rather than left to exhaust Python's recursion limit.
+# deep.  Evaluation, rendering, equality, repr, copy and pickle walk any
+# depth, but the parser recurses on parentheses, so a deeper expression is
+# refused here rather than left to exhaust Python's recursion limit.
 MAX_DEPTH = 200
 
 

@@ -318,31 +318,21 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar = 0) -> tuple[bool
     return diagonal_ok, symmetry_ok
 
 
-def _matrix_rows(matrix: AssociatorMatrix, exact_cell, float_cell):
-    """Each row of the matrix as an iterator over its rendered cells.
-
-    An exact entry is rendered by ``exact_cell(octonion)``, a float entry by
-    ``float_cell(list of 8 floats)``.
-    """
-    size, flat = matrix.size, matrix.flat
-    for i in range(size):
-        row = flat[i * size:(i + 1) * size]
-        if isinstance(row, list):
-            yield map(exact_cell, row)
-        else:
-            # One row at a time: converting the whole array would hold a
-            # Python float for every coefficient at once.
-            yield map(float_cell, row.tolist())
-
-
 def format_matrix_text(matrix: AssociatorMatrix) -> str:
     """Aligned plain-text table of the matrix entries."""
     from .textform import format_octonion, format_terms
 
-    cells = [list(row) for row in _matrix_rows(matrix, format_octonion, format_terms)]
-    widths = [
-        max(len(cells[i][j]) for i in range(matrix.size)) for j in range(matrix.size)
-    ]
+    size, flat = matrix.size, matrix.flat
+    cells = []
+    for i in range(size):
+        row = flat[i * size:(i + 1) * size]
+        if isinstance(row, list):
+            cells.append([format_octonion(x) for x in row])
+        else:
+            # One row at a time: converting the whole array would hold a
+            # Python float for every coefficient at once.
+            cells.append([format_terms(values) for values in row.tolist()])
+    widths = [max(len(cells[i][j]) for i in range(size)) for j in range(size)]
     lines = []
     for i, row in enumerate(cells):
         padded = "   ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
@@ -352,12 +342,39 @@ def format_matrix_text(matrix: AssociatorMatrix) -> str:
 
 def format_matrix_machine(matrix: AssociatorMatrix) -> str:
     """One line per entry: ``i<TAB>j<TAB>coefficients`` (1-based indices)."""
+    return "\n".join(_machine_blocks(matrix))
+
+
+def _machine_blocks(matrix: AssociatorMatrix):
+    """The lines of `format_matrix_machine`, one block per matrix row: row
+    i's lines joined by newlines, with no trailing newline.  The caller
+    writes each block as it comes, so no more than one row's text is held."""
     from .textform import format_coefficients, format_float_coefficients
 
-    lines = []
-    for i, row in enumerate(
-        _matrix_rows(matrix, format_coefficients, format_float_coefficients), start=1
-    ):
-        for j, cell in enumerate(row, start=1):
-            lines.append(f"{i}\t{j}\t{cell}")
-    return "\n".join(lines)
+    size, flat = matrix.size, matrix.flat
+    if isinstance(flat, list):
+        for i in range(1, size + 1):
+            row = flat[(i - 1) * size:i * size]
+            yield "\n".join(
+                f"{i}\t{j}\t{format_coefficients(x)}" for j, x in enumerate(row, start=1)
+            )
+        return
+    # Each float row is rendered by one % call: %r of a Python float is its
+    # repr, the text of `format_float_coefficients` unless a value switched
+    # to scientific notation.  Only lines holding an "e" are rendered again:
+    # nearly every row holds one, since the diagonal's imaginary parts are
+    # roundoff of about 1e-17, so re-rendering whole rows would double the cost.
+    cells = ["\t%d\t" % j + ",".join(["%r"] * 8) for j in range(1, size + 1)]
+    for i in range(1, size + 1):
+        # tolist() first: numpy's repr of a float64 is different text.
+        values = flat[(i - 1) * size:i * size].ravel().tolist()
+        prefix = str(i)
+        block = (prefix + ("\n" + prefix).join(cells)) % tuple(values)
+        if "e" in block:
+            lines = block.split("\n")
+            for j, line in enumerate(lines):
+                if "e" in line:
+                    coefficients = format_float_coefficients(values[8 * j:8 * j + 8])
+                    lines[j] = f"{i}\t{j + 1}\t{coefficients}"
+            block = "\n".join(lines)
+        yield block

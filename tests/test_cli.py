@@ -272,6 +272,12 @@ class TestAssociator:
         assert lines[2].endswith("\tOK")
 
 
+# Six factors for the `orders --matrix` tests, the first n taken for n
+# factors, and the verdict lines that end the machine format.
+MATRIX_FACTORS = ("1 + e1", "2 - e2", "e4 + 1/3e7", "3e5 - e6", "1/2 + e3", "-1 + 5/7e2 + e5")
+MACHINE_VERDICTS = "verify:diagonalall1\tOK\nverify:entry(j,i)=entry(i,j)~\tOK\n"
+
+
 class TestOrders:
     def test_listing(self, capsys):
         code, out, _ = run_cli(capsys, "orders", "e1", "e2", "e4")
@@ -294,6 +300,45 @@ class TestOrders:
         lines = out.splitlines()
         assert "1\t2\t-1,0,0,0,0,0,0,0" in lines
         assert lines[-2] == "verify:diagonalall1\tOK"
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_machine_matrix_is_the_formatted_text(self, capsys, n, backend):
+        from octalg.textform import parse_octonion
+        from octalg.trees import associator_matrix, format_matrix_machine
+
+        texts = MATRIX_FACTORS[:n]
+        code, out, _ = run_cli(
+            capsys, "orders", *texts, "--matrix", "--backend", backend, "--format", "machine"
+        )
+        assert code == 0
+        m = associator_matrix([parse_octonion(text, backend) for text in texts])
+        # The n and orders lines, one line per order, then the matrix.
+        matrix_text = out.split("\n", 2 + m.size)[-1]
+        assert matrix_text == format_matrix_machine(m) + "\n" + MACHINE_VERDICTS
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_machine_matrix_is_written_one_row_at_a_time(self, monkeypatch, backend):
+        from octalg.textform import parse_octonion
+        from octalg.trees import _machine_blocks, associator_matrix
+
+        class Recording:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        stdout = Recording()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        texts = MATRIX_FACTORS[:5]
+        code = main(["orders", *texts, "--matrix", "--backend", backend, "--format", "machine"])
+        assert code == 0
+        blocks = list(_machine_blocks(associator_matrix([parse_octonion(t, backend) for t in texts])))
+        assert len(blocks) == 14
+        assert len(stdout.writes) >= len(blocks)
+        assert max(map(len, stdout.writes)) <= max(map(len, blocks))
+        assert "".join(stdout.writes).endswith("\n".join(blocks) + "\n" + MACHINE_VERDICTS)
 
     @pytest.fixture
     def product_calls(self, monkeypatch):

@@ -436,6 +436,14 @@ class TestExactRepresentation:
         (report,) = checks.run_checks(cases=3, seed=1, names=["inverse-of-product"])
         assert not report.ok
 
+    @given(octonions)
+    def test_conjugate_keeps_the_reduced_form(self, x):
+        conj = x.conjugate()
+        assert conj._d == x._d
+        assert gcd(conj._d, *conj._v) == 1
+        reduced = core._new([x._v[0]] + [-n for n in x._v[1:]], x._d)
+        assert (conj._v, conj._d) == (reduced._v, reduced._d)
+
     @given(octonions, st.integers(1, 60))
     def test_unreduced_results_are_reduced(self, x, k):
         scaled = (x * k) * Fraction(1, k)

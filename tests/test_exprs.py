@@ -1,5 +1,7 @@
 """Expression parsing, evaluation, and round-tripping."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -303,6 +305,12 @@ class TestDeepExpressionsBuiltInCode:
         assert _deep_expr(shape, innermost=Var("z")) != expr
         other = "inverses" if shape == "conjugates" else "conjugates"
         assert _deep_expr(other) != expr
+
+    @pytest.mark.parametrize("shape", ["conjugates", "right products"])
+    def test_copy_and_pickle(self, shape):
+        expr = _deep_expr(shape, innermost=Var("x"))
+        assert copy.deepcopy(expr) == expr
+        assert pickle.loads(pickle.dumps(expr)) == expr
 
 
 def _random_expr(gen: random.Random, depth: int = 0):

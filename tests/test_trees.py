@@ -8,8 +8,10 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from octalg import (
     AssociatorMatrix,
@@ -32,9 +34,11 @@ from octalg import checks, core
 from octalg.brackets import expand_word
 from octalg.sampling import random_octonion, random_scalar
 from octalg.core import DEFAULT_FLOAT_TOLERANCE
-from octalg.textform import format_coefficients
+from octalg.checks import CheckReport
+from octalg.textform import format_coefficients, format_float_coefficients
 from octalg.trees import (
     CATALAN,
+    _machine_blocks,
     format_matrix_machine,
     format_matrix_text,
     leaf_positions,
@@ -118,6 +122,14 @@ class TestEnumeration:
         assert copy.deepcopy(tree) == tree
         assert pickle.loads(pickle.dumps(tree)) == tree
 
+    def test_a_record_equals_itself_without_building_keys(self, monkeypatch):
+        def no_key(record):
+            raise AssertionError(f"_key of {record!r}")
+
+        monkeypatch.setattr(core._Record, "_key", no_key)
+        for record in (enumerate_trees(8)[200], CheckReport("moufang", 3, 1)):
+            assert record == record and not record != record
+
     def test_combs(self):
         assert left_comb(3) == Node(Node(Leaf(1), Leaf(2)), Leaf(3))
         assert right_comb(3) == Node(Leaf(1), Node(Leaf(2), Leaf(3)))
@@ -154,6 +166,12 @@ class TestCombs2000Deep:
         for k in range(2, DEEP + 1):
             tree = Node(tree, Leaf(k))
         assert tree != left_comb(DEEP)
+
+    @pytest.mark.parametrize("comb", [left_comb, right_comb])
+    def test_copy_and_pickle(self, comb):
+        tree = comb(DEEP)
+        assert copy.deepcopy(tree) == tree
+        assert pickle.loads(pickle.dumps(tree)) == tree
 
     def test_repr(self):
         leaves = "".join(f", right=Leaf(position={k}))" for k in range(2, DEEP + 1))
@@ -595,6 +613,34 @@ class TestRendering:
             f"{i + 1}\t{j + 1}\t{format_coefficients(m.entry(i, j))}"
             for i in range(m.size)
             for j in range(m.size)
+        ]
+
+    # Any finite float, and the values whose repr is scientific or at an
+    # edge of binary64: subnormals, +-1e308, -0.0, >= 1e16 and < 1e-4.
+    @given(
+        st.sampled_from([1, 3, 4]).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([5e-324, -2.5e-310, 1e308, -1e308, -0.0, 1e16, 1.5e-5]),
+                    min_size=CATALAN[n - 1] ** 2 * 8,
+                    max_size=CATALAN[n - 1] ** 2 * 8,
+                ),
+            )
+        )
+    )
+    def test_float_row_blocks_match_per_entry_rendering(self, n_and_values):
+        n, values = n_and_values
+        size = CATALAN[n - 1]
+        flat = np.array(values).reshape(size * size, 8)
+        m = AssociatorMatrix(n=n, trees=tuple(enumerate_trees(n)), flat=flat)
+        assert list(_machine_blocks(m)) == [
+            "\n".join(
+                f"{i + 1}\t{j + 1}\t{format_float_coefficients(flat[i * size + j].tolist())}"
+                for j in range(size)
+            )
+            for i in range(size)
         ]
 
     def test_machine_lines(self):
