@@ -12,7 +12,6 @@ from (seed, identity name) so the streams stay independent of list order.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .brackets import (
@@ -23,7 +22,7 @@ from .brackets import (
     multiplicative_commutator,
     schafer_residual,
 )
-from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _eq, _Record
+from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _eq, _Record, require_tolerance
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import tree_products
 
@@ -50,13 +49,6 @@ class CheckReport(_Record):
     @property
     def ok(self) -> bool:
         return self.failures == 0
-
-
-def _scalar_eq(a, b, tolerance) -> bool:
-    if not isinstance(a, float):
-        return a == b
-    diff = abs(a - b)
-    return math.isfinite(diff) and diff <= tolerance * max(1.0, abs(a), abs(b))
 
 
 def _check_product_conversion(rng, backend, tol):
@@ -107,10 +99,10 @@ def _check_unit_norm(rng, backend, tol):
     x, y, z = (random_octonion(rng, backend, nonzero=True) for _ in range(3))
     one = 1.0 if backend == FLOAT else 1
     n_assoc = multiplicative_associator(x, y, z).norm_sq()
-    if not _scalar_eq(n_assoc, one, tol):
+    if not _eq(n_assoc, one, tol):
         return f"norm_sq(associator) = {n_assoc} != 1"
     n_comm = multiplicative_commutator(x, y).norm_sq()
-    if not _scalar_eq(n_comm, one, tol):
+    if not _eq(n_comm, one, tol):
         return f"norm_sq(commutator) = {n_comm} != 1"
     return None
 
@@ -143,7 +135,7 @@ def _check_biassociativity(rng, backend, tol):
 
 def _check_norm_multiplicativity(rng, backend, tol):
     x, y = (random_octonion(rng, backend) for _ in range(2))
-    if not _scalar_eq((x * y).norm_sq(), x.norm_sq() * y.norm_sq(), tol):
+    if not _eq((x * y).norm_sq(), x.norm_sq() * y.norm_sq(), tol):
         return f"norm_sq(x*y) != norm_sq(x)*norm_sq(y) for x={x}, y={y}"
     return None
 
@@ -211,9 +203,17 @@ def run_checks(
     """Run the identity suite and return one report per identity."""
     if tolerance is None:
         tolerance = DEFAULT_FLOAT_TOLERANCE if backend == FLOAT else 0
-    selected = IDENTITY_CHECKS if names is None else [
-        (name, func) for name, func in IDENTITY_CHECKS if name in set(names)
-    ]
+    require_tolerance(tolerance)
+    selected = IDENTITY_CHECKS
+    if names is not None:
+        names = set(names)
+        unknown = names.difference(CHECK_NAMES)
+        if unknown:
+            raise ValueError(
+                f"unknown identity names {', '.join(sorted(map(repr, unknown)))}; "
+                f"known: {', '.join(CHECK_NAMES)}"
+            )
+        selected = [(name, func) for name, func in IDENTITY_CHECKS if name in names]
     reports = []
     for name, func in selected:
         rng = random.Random(f"{seed}:{name}")

@@ -354,8 +354,14 @@ def _cmd_check(args, tolerance) -> int:
         total = len(reports)
         if all_ok:
             print(f"all {total} identities passed ({args.cases} cases each)")
-        else:
+        elif args.backend == EXACT:
             print("identity failures detected: this is an implementation bug")
+        else:
+            print(
+                f"identity failures detected at tolerance {tolerance!r}: rounding "
+                "beyond that tolerance, or an implementation bug; rerun with "
+                "--backend exact to tell which"
+            )
     return EXIT_OK if all_ok else EXIT_CHECK
 
 

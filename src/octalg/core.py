@@ -61,21 +61,28 @@ def require_tolerance(tolerance: Scalar) -> None:
         )
 
 
-def _scaled_tolerance(tolerance, *values: Octonion):
-    scale = 1.0
-    for v in values:
-        scale = max(scale, max(abs(c) for c in v.c))
-    return tolerance * scale
+def _deviation(a, b, scale_by=None):
+    """``(absolute, scale)``: the largest ``|a_k - b_k|``, and ``max(1, largest
+    |c|)`` over ``scale_by`` (default ``a + b``).  Any NaN or inf, checked one by
+    one, never summed (a sum can overflow), gives ``(nan, nan)``: it never passes."""
+    diffs = [abs(x - y) for x, y in zip(a, b)]
+    magnitudes = [1.0, *map(abs, a + b if scale_by is None else scale_by)]
+    finite = all(map(math.isfinite, diffs + magnitudes))
+    return (max(diffs), max(magnitudes)) if finite else (math.nan, math.nan)
 
 
-def _eq(a: Octonion, b: Octonion, tolerance, *scale_by: Octonion) -> bool:
-    """Compare a and b, on the float backend at ``tolerance`` times the
-    largest coefficient of ``scale_by`` (default: of a and b).  An inf
-    coefficient makes the scaled tolerance non-finite and the values unequal."""
-    if a.backend == EXACT:
+def _eq(a, b, tolerance, *scale_by: Octonion) -> bool:
+    """Compare two octonions, or two norms, of one backend: exactly on exact; on
+    float as ``absolute <= tolerance * scale`` of `_deviation`, scaled by ``scale_by``
+    (default: a and b).  A product: a quotient could round across the boundary."""
+    if isinstance(a, Octonion) and a._d is None:
+        a, b, scale_by = a._v, b._v, [c for v in scale_by for c in v._v]
+    elif isinstance(a, float):
+        a, b = (a,), (b,)
+    else:
         return a == b
-    scaled = _scaled_tolerance(tolerance, *(scale_by or (a, b)))
-    return math.isfinite(scaled) and a.equals(b, scaled)
+    absolute, scale = _deviation(a, b, scale_by or None)
+    return absolute <= tolerance * scale
 
 
 def _cd_conjugate(v: tuple) -> tuple:
@@ -268,6 +275,10 @@ class Octonion:
     def __setattr__(self, name, value):
         raise AttributeError("Octonion values are immutable")
 
+    def __reduce__(self):
+        # Copy and pickle rebuild through _new, never through __setattr__.
+        return _new, (self._v, self._d)
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -454,7 +465,7 @@ class Octonion:
         On the exact backend the tolerance must be 0 and the comparison is
         structural equality of reduced rationals.  On the float backend every
         componentwise absolute difference must be at most the tolerance, so a
-        NaN or inf difference makes the values unequal.
+        NaN or inf difference makes the values unequal: `_deviation` at scale 1.
         """
         self._require_same_backend(other)
         require_tolerance(tolerance)
@@ -464,7 +475,7 @@ class Octonion:
                     "the exact backend compares exactly; tolerance must be 0"
                 )
             return self._d == other._d and self._v == other._v
-        return all(abs(a - b) <= tolerance for a, b in zip(self._v, other._v))
+        return _deviation(self._v, other._v, ())[0] <= tolerance
 
     def __eq__(self, other):
         if not isinstance(other, Octonion):

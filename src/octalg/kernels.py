@@ -90,9 +90,8 @@ def conversion_verdicts(entries: np.ndarray, size: int, tolerance: float) -> tup
 
     Returns ``(diagonal_ok, symmetry_ok)``: whether every
     ``|M[i,i] - 1| <= tolerance`` and every ``|M[j,i] - conj(M[i,j])| <=
-    tolerance``, componentwise.  These are the float operations of
-    `Octonion.equals`, so the verdicts agree with it, and a NaN or inf
-    difference fails.
+    tolerance``: `Octonion.equals`' rule at scale 1, the scale of entries of
+    unit norm, so the verdicts agree with it and a NaN or inf difference fails.
     """
     m = _as_batch(entries).reshape(size, size, 8)
     diagonal = m[np.arange(size), np.arange(size)]

@@ -514,6 +514,24 @@ class TestCheckReport:
             hash(report)
         assert run_checks(cases=2, names=["moufang"]) == [CheckReport("moufang", 2, 0)]
 
+    def test_unknown_names_are_refused(self):
+        from octalg.checks import CHECK_NAMES, run_checks
+
+        with pytest.raises(ValueError, match="unknown identity names 'moufnag'") as info:
+            run_checks(cases=1, names=["moufang", "moufnag"])
+        assert ", ".join(CHECK_NAMES) in str(info.value)
+        with pytest.raises(ValueError, match="'u'"):
+            run_checks(cases=1, names="unit-norm")
+        assert run_checks(cases=1, names=[]) == []
+
+    @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
+    def test_invalid_tolerance_is_refused(self, bad):
+        from octalg.checks import run_checks
+        from octalg.errors import InvalidToleranceError
+
+        with pytest.raises(InvalidToleranceError):
+            run_checks(cases=1, backend="float", tolerance=bad)
+
 
 class TestCheck:
     def test_exact_suite_passes(self, capsys):
@@ -539,6 +557,32 @@ class TestCheck:
     def test_bad_cases_value(self, capsys):
         code, _, err = run_cli(capsys, "check", "--cases", "0")
         assert code == 1
+
+    def test_float_failure_names_the_tolerance(self, capsys):
+        # At tolerance 0 float rounding fails identities: the summary names
+        # the tolerance and the exact backend, not only a bug.
+        args = ("check", "--backend", "float", "--tolerance", "0", "--cases", "3")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 3
+        assert "bracket-duality: 0/3 passed [FAIL]" in out
+        assert out.splitlines()[-1] == (
+            "identity failures detected at tolerance 0.0: rounding beyond that "
+            "tolerance, or an implementation bug; rerun with --backend exact to tell which"
+        )
+        code, out, _ = run_cli(capsys, *args, "--format", "machine")
+        assert code == 3
+        assert out.endswith("bracket-duality\t0/3\nresult\tfail\n")
+
+    def test_exact_failure_is_an_implementation_bug(self, capsys, monkeypatch):
+        from octalg import checks
+
+        monkeypatch.setattr(checks, "IDENTITY_CHECKS", (("broken", lambda *_: "boom"),))
+        code, out, _ = run_cli(capsys, "check", "--cases", "2")
+        assert code == 3
+        assert out == (
+            "broken: 0/2 passed [FAIL]\n  first failure: boom\n"
+            "identity failures detected: this is an implementation bug\n"
+        )
 
     def test_default_seed_is_the_sampling_default(self, capsys):
         from octalg.sampling import DEFAULT_SEED

@@ -1,7 +1,10 @@
 """Core arithmetic: the derived multiplication table against a hand oracle,
 and the algebra laws the rest of the package leans on."""
 
+import copy
 import inspect
+import math
+import pickle
 import random
 import re
 import traceback
@@ -19,10 +22,12 @@ from octalg import (
     NonFiniteError,
     Octonion,
     ZeroInverseError,
+    associator_matrix,
     cayley_dickson_product,
     checks,
     core,
     kernels,
+    parse,
     structure_table,
 )
 
@@ -253,19 +258,111 @@ class TestSpecifiedExamples:
     def test_equals_never_passes_on_nan_or_inf(self):
         nan, inf = float("nan"), float("inf")
         zero = Octonion.zero("float")
+        finite = Octonion([5.0] + [0.0] * 7)
         for k in range(8):
             for bad in (nan, inf, -inf):
                 v = core._new([bad if i == k else 0.0 for i in range(8)], None)
                 assert not v.equals(zero, 1e-12)
                 assert not zero.equals(v, 1e-12)
                 assert not v.equals(v, 1e-12)
-        # the identity suite's magnitude-scaled comparisons
-        finite = Octonion([5.0] + [0.0] * 7)
-        assert not checks._eq(core._new([inf] + [0.0] * 7, None), finite, 1e-12)
-        assert not checks._eq(core._new([5.0, nan] + [0.0] * 6, None), finite, 1e-12)
-        assert not checks._scalar_eq(inf, 5.0, 1e-12)
-        assert not checks._scalar_eq(inf, inf, 1e-12)
-        assert not checks._scalar_eq(nan, 5.0, 1e-12)
+                # the identity suite's magnitude-scaled comparisons, scaled
+                # by the two sides and by given values, at any tolerance
+                for tolerance in (0.0, 1e-12, 1e300):
+                    assert not core._eq(v, finite, tolerance)
+                    assert not core._eq(finite, v, tolerance)
+                    assert not core._eq(v, v, tolerance)
+                    assert not core._eq(finite, finite, tolerance, v)
+                    assert not core._eq(finite, finite, tolerance, finite, v)
+        # and its comparisons of norms
+        for bad in (nan, inf, -inf):
+            for tolerance in (0.0, 1e-12, 1e300):
+                assert not core._eq(bad, 5.0, tolerance)
+                assert not core._eq(5.0, bad, tolerance)
+                assert not core._eq(bad, bad, tolerance)
+
+
+def _before_deviation(a, b, tolerance, *scale_by):
+    """The float closeness rule as the package stated it before
+    `core._deviation`: the scaled tolerance first, then one comparison per
+    coefficient; for two norms, one comparison of their difference."""
+    if isinstance(a, float):
+        diff = abs(a - b)
+        return math.isfinite(diff) and diff <= tolerance * max(1.0, abs(a), abs(b))
+    scale = 1.0
+    for v in scale_by or (a, b):
+        scale = max(scale, max(abs(c) for c in v.c))
+    scaled = tolerance * scale
+    return math.isfinite(scaled) and all(abs(x - y) <= scaled for x, y in zip(a.c, b.c))
+
+
+class TestClosenessRule:
+    """`core._eq` decides on one `core._deviation` what the two earlier float
+    rules decided, also at the tolerance where the verdict turns."""
+
+    @staticmethod
+    def _pairs(rng):
+        for _ in range(300):
+            magnitude = 10.0 ** rng.randint(-3, 12)
+            a = Octonion([rng.uniform(-magnitude, magnitude) for _ in range(8)])
+            noise = [rng.choice((0.0, 1e-13)) * rng.uniform(-1, 1) * magnitude for _ in range(8)]
+            b = Octonion([x + e for x, e in zip(a.c, noise)])
+            scale_by = rng.choice([(), (a,), (a, a - b)])
+            yield a, b, scale_by
+            yield a.norm_sq(), (a * b).norm_sq() / b.norm_sq(), ()
+
+    def test_same_verdict_either_side_of_the_turning_point(self):
+        rng = random.Random("closeness-boundary")
+        for a, b, scale_by in self._pairs(rng):
+            absolute, scale = core._deviation(
+                *((a._v, b._v) if isinstance(a, Octonion) else ((a,), (b,))),
+                [c for v in scale_by for c in v._v] or None,
+            )
+            turn = absolute / scale
+            tolerances = [turn]
+            for direction in (0.0, math.inf):
+                t = turn
+                for _ in range(3):
+                    t = math.nextafter(t, direction)
+                    tolerances.append(t)
+            verdicts = set()
+            for tolerance in tolerances:
+                verdict = core._eq(a, b, tolerance, *scale_by)
+                assert verdict == _before_deviation(a, b, tolerance, *scale_by)
+                verdicts.add(verdict)
+            # Three ulps either side of the quotient straddle the turn.
+            assert absolute == 0 or verdicts == {True, False}
+
+    def test_differences_near_the_binary64_limit_keep_their_verdict(self):
+        # Eight differences of 1.5e308 sum past the binary64 range; the rule
+        # takes their largest, so the verdict stays the one before.
+        a = core._new([1.5e308] * 8, None)
+        b = core._new([0.0] * 8, None)
+        assert core._deviation(a._v, b._v) == (1.5e308, 1.5e308)
+        assert core._eq(a, b, 1.0) and _before_deviation(a, b, 1.0)
+        below = math.nextafter(1.0, 0.0)
+        assert not core._eq(a, b, below) and not _before_deviation(a, b, below)
+
+    def test_a_non_finite_scale_fails(self):
+        # tolerance * inf is inf (or NaN at tolerance 0), which every finite
+        # deviation would pass: the rule fails it instead, as before.  A NaN
+        # among the scale's coefficients used to be skipped by max(); it fails
+        # now too.
+        one = Octonion.one("float")
+        for bad in (math.inf, -math.inf, math.nan):
+            scale_by = core._new([1.0, bad] + [0.0] * 6, None)
+            assert all(map(math.isnan, core._deviation(one._v, one._v, scale_by._v)))
+            for tolerance in (0.0, 1e-12, 1.0):
+                assert not core._eq(one, one, tolerance, scale_by)
+                assert _before_deviation(one, one, tolerance, scale_by) == (bad != bad)
+
+    def test_a_bound_beyond_binary64_passes_every_finite_deviation(self):
+        # tolerance * scale overflowing to inf passes a finite deviation, as
+        # the norm comparison always did; the octonion comparison used to fail
+        # it.
+        a = Octonion([1e10] + [0.0] * 7)
+        b = Octonion([-1e10] + [0.0] * 7)
+        assert core._eq(a, b, 1e300) and not _before_deviation(a, b, 1e300)
+        assert core._eq(1e10, -1e10, 1e300) and _before_deviation(1e10, -1e10, 1e300)
 
 
 class TestAlgebraLaws:
@@ -401,6 +498,18 @@ class TestConstructionAndBackends:
 
     def test_hashable(self):
         assert len({Octonion.one(), Octonion.one(), unit(1)}) == 2
+
+    def test_copy_and_pickle(self):
+        values = [Octonion.parse("1/2 - 3e4"), Octonion([0.1, -0.0, 1e-310] + [2.5] * 5)]
+        values.append(parse("x*(1+e2)"))  # holds an exact literal
+        for value in values:
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value
+                if isinstance(value, Octonion):
+                    assert (twin._d, _hex(twin._v)) == (value._d, _hex(value._v))
+        m = associator_matrix([unit(1), unit(2), unit(4), Octonion.parse("1/3 + e5")])
+        for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert (twin.n, twin.trees, twin.flat) == (m.n, m.trees, m.flat)
 
 
 class TestExactRepresentation:
