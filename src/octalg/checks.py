@@ -22,7 +22,7 @@ from .brackets import (
     multiplicative_commutator,
     schafer_residual,
 )
-from .core import DEFAULT_FLOAT_TOLERANCE, EXACT, FLOAT, Octonion, _eq, _Record, require_tolerance
+from .core import EXACT, FLOAT, Octonion, _eq, _Record, resolve_tolerance
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import tree_products
 
@@ -200,10 +200,12 @@ def run_checks(
     tolerance=None,
     names=None,
 ) -> list[CheckReport]:
-    """Run the identity suite and return one report per identity."""
-    if tolerance is None:
-        tolerance = DEFAULT_FLOAT_TOLERANCE if backend == FLOAT else 0
-    require_tolerance(tolerance)
+    """Run the identity suite and return one report per identity: ``cases``
+    cases each, at least 1, compared at `resolve_tolerance` of ``backend`` and
+    ``tolerance``."""
+    tolerance = resolve_tolerance(backend, tolerance)
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     selected = IDENTITY_CHECKS
     if names is not None:
         names = set(names)

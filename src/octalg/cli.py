@@ -39,11 +39,10 @@ from .core import (
     FLOAT,
     Octonion,
     _eq,
-    require_tolerance,
+    resolve_tolerance,
 )
 from .errors import (
     BackendMismatchError,
-    InvalidToleranceError,
     NonFiniteError,
     UnboundVariableError,
     ZeroInverseError,
@@ -135,34 +134,16 @@ def _flavor_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_tolerance(args) -> float:
-    if args.backend == EXACT:
-        if args.tolerance not in (None, 0):
-            raise InvalidToleranceError(
-                "--tolerance only applies to the float backend (exact compares exactly)"
-            )
-        return 0
-    if args.tolerance is None:
-        return DEFAULT_FLOAT_TOLERANCE
-    require_tolerance(args.tolerance)
-    return args.tolerance
-
-
 def _is_finite(value: Octonion) -> bool:
     """Whether every coefficient of ``value`` is finite (always, on exact)."""
     return value.backend != FLOAT or all(map(math.isfinite, value.c))
 
 
-def _require_finite(value: Octonion, what: str) -> None:
-    """NonFiniteError unless every coefficient of ``value`` is finite."""
-    if not _is_finite(value):
-        raise NonFiniteError(f"{what} is beyond the binary64 range")
-
-
 def _emit_value(value: Octonion, fmt: str) -> None:
     from .textform import format_coefficients, format_octonion
 
-    _require_finite(value, "the result")
+    if not _is_finite(value):
+        raise NonFiniteError("the result is beyond the binary64 range")
     if fmt == "machine":
         print(f"result\t{format_coefficients(value)}")
     else:
@@ -270,9 +251,9 @@ def _cmd_orders(args, tolerance) -> int:
     from .textform import format_coefficients, format_octonion, parse_octonion
     from .trees import (
         _machine_blocks,
-        _matrix_from_products,
-        _require_matrix_factors,
+        _require_representable,
         _tree_labels,
+        associator_matrix,
         format_matrix_text,
         tree_products,
         verify_matrix,
@@ -280,14 +261,15 @@ def _cmd_orders(args, tolerance) -> int:
 
     factors = [parse_octonion(text, args.backend) for text in args.factors]
     n = len(factors)
-    if args.matrix:
-        _require_matrix_factors(factors)
-    products = tree_products(factors)
-    if args.backend == FLOAT:
-        _require_representable_products(factors, products)
     # Built before anything is printed, so an evaluation error leaves no
     # partial output.
-    matrix = _matrix_from_products(factors, products) if args.matrix else None
+    if args.matrix:
+        matrix = associator_matrix(factors)
+        products = matrix.products
+    else:
+        matrix = None
+        products = tree_products(factors)
+        _require_representable(factors, products)
     orders = zip(_tree_labels(n), products)
     if args.fmt == "machine":
         print(f"n\t{n}")
@@ -317,23 +299,10 @@ def _cmd_orders(args, tolerance) -> int:
     return EXIT_OK if diagonal_ok and symmetry_ok else EXIT_CHECK
 
 
-def _require_representable_products(factors, products) -> None:
-    """NonFiniteError naming the first float product, by its 1-based order,
-    that left the binary64 range: a coefficient that is not finite, or, when
-    every factor is nonzero, a product that underflowed to exactly 0."""
-    factors_nonzero = all(factors)
-    for k, p in enumerate(products, start=1):
-        _require_finite(p, f"the product under order {k}")
-        if factors_nonzero and not p:
-            raise NonFiniteError(f"the product under order {k} underflows binary64 to 0")
-
-
 def _cmd_check(args, tolerance) -> int:
     from .checks import run_checks
     from .sampling import DEFAULT_SEED
 
-    if args.cases < 1:
-        raise UsageError("--cases must be at least 1")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     reports = run_checks(
         cases=args.cases, seed=seed, backend=args.backend, tolerance=tolerance
@@ -381,7 +350,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        tolerance = _resolve_tolerance(args)
+        tolerance = resolve_tolerance(args.backend, args.tolerance)
         return _COMMANDS[args.command](args, tolerance)
     except (
         ZeroInverseError, UnboundVariableError, BackendMismatchError, NonFiniteError
@@ -390,7 +359,8 @@ def main(argv=None) -> int:
         return EXIT_EVAL
     except ValueError as exc:
         # ParseError, InvalidToleranceError, ReservedIdentifierError,
-        # OutOfRangeError, ShapeMismatchError, bad bindings: all user input.
+        # OutOfRangeError, ShapeMismatchError, bad bindings, a case count
+        # below 1: all user input.
         print(f"octalg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -53,12 +53,25 @@ FLOAT = "float"
 DEFAULT_FLOAT_TOLERANCE = 1e-12
 
 
-def require_tolerance(tolerance: Scalar) -> None:
-    """Raise InvalidToleranceError unless ``tolerance`` is finite and >= 0."""
+def resolve_tolerance(backend: str, tolerance: Scalar | None = None) -> Scalar:
+    """The comparison tolerance in force on ``backend``: 0 on exact, which
+    compares exactly, and on float ``tolerance``, or `DEFAULT_FLOAT_TOLERANCE`
+    when it is None.  InvalidToleranceError for a nonzero tolerance on exact,
+    and for a negative, NaN or infinite one on float."""
+    if backend == EXACT:
+        if tolerance not in (None, 0):
+            raise InvalidToleranceError(
+                "a tolerance only applies to the float backend (exact compares "
+                f"exactly), got {tolerance}"
+            )
+        return 0
+    if tolerance is None:
+        return DEFAULT_FLOAT_TOLERANCE
     if not 0 <= tolerance < math.inf:
         raise InvalidToleranceError(
             f"tolerance must be a finite number >= 0, got {tolerance}"
         )
+    return tolerance
 
 
 def _deviation(a, b, scale_by=None):
@@ -468,12 +481,8 @@ class Octonion:
         NaN or inf difference makes the values unequal: `_deviation` at scale 1.
         """
         self._require_same_backend(other)
-        require_tolerance(tolerance)
+        tolerance = resolve_tolerance(self.backend, tolerance)
         if self._d is not None:
-            if tolerance != 0:
-                raise InvalidToleranceError(
-                    "the exact backend compares exactly; tolerance must be 0"
-                )
             return self._d == other._d and self._v == other._v
         return _deviation(self._v, other._v, ())[0] <= tolerance
 

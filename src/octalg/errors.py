@@ -12,7 +12,8 @@ class BackendMismatchError(OctalgError, TypeError):
 
 
 class InvalidToleranceError(OctalgError, ValueError):
-    """Raised for a negative tolerance, or a nonzero one on the exact backend."""
+    """Raised for a negative, NaN or infinite tolerance, or a nonzero one on
+    the exact backend: see `core.resolve_tolerance`."""
 
 
 class ZeroInverseError(OctalgError, ZeroDivisionError):

@@ -29,9 +29,9 @@ from .core import (
     _new,
     _norm_range_error,
     _postorder,
-    require_tolerance,
+    resolve_tolerance,
 )
-from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
+from .errors import NonFiniteError, OutOfRangeError, ShapeMismatchError, ZeroInverseError
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
 
@@ -122,13 +122,12 @@ def right_comb(n: int) -> ProductTree:
     return tree
 
 
-def render_tree(tree: ProductTree, labels: Sequence[str] | None = None) -> str:
-    """Render as an expression, e.g. ``(x1*x2)*x3``: leaf k as
-    ``labels[k - 1]``, or as ``xk`` when no labels are given."""
+def render_tree(tree: ProductTree) -> str:
+    """Render as an expression, e.g. ``(x1*x2)*x3``: leaf k as ``xk``."""
     texts = []
     for t in _postorder(tree):
         if isinstance(t, Leaf):
-            texts.append(f"x{t.position}" if labels is None else labels[t.position - 1])
+            texts.append(f"x{t.position}")
         else:
             right = texts.pop()
             texts.append(f"({texts.pop()}*{right})")
@@ -199,6 +198,21 @@ def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:
             raise ZeroInverseError(f"factor {k} is zero; all factors must be invertible")
 
 
+def _require_representable(factors: Sequence[Octonion], products: Sequence[Octonion]) -> None:
+    """On float, NonFiniteError naming the first of ``products``, the
+    `tree_products` of ``factors``, by its 1-based order, that left the
+    binary64 range: a coefficient that is not finite, or, when every factor
+    is nonzero, a product that underflowed to exactly 0."""
+    if factors[0].backend != FLOAT:
+        return
+    factors_nonzero = all(factors)
+    for k, p in enumerate(products, start=1):
+        if not all(map(math.isfinite, p.c)):
+            raise NonFiniteError(f"the product under order {k} is beyond the binary64 range")
+        if factors_nonzero and not p:
+            raise NonFiniteError(f"the product under order {k} underflows binary64 to 0")
+
+
 def generalized_associator(i: int, j: int, factors: Sequence[Octonion]) -> Octonion:
     """inverse(p_i) * p_j, where p_k is the product under the k-th canonical
     tree; multiplying p_i by the result gives p_j."""
@@ -217,8 +231,9 @@ class AssociatorMatrix(_Record):
     """Every pairwise evaluation-order associator of one factor sequence.
 
     Entry (i, j) converts the product under tree i into the product under
-    tree j.  The diagonal is 1 and entry (j, i) is the conjugate of entry
-    (i, j).
+    tree j: it is the ``a`` with ``products[i] * a == products[j]``, where
+    ``products`` holds the `tree_products` of the factors.  The diagonal is
+    1 and entry (j, i) is the conjugate of entry (i, j).
 
     ``flat`` holds the entries row-major, entry (i, j) at index
     ``i * size + j``: on the float backend a read-only ``(size * size, 8)``
@@ -227,18 +242,18 @@ class AssociatorMatrix(_Record):
     demand.  Equality is identity, since ``flat`` may be an array.
     """
 
-    __slots__ = ("n", "trees", "flat")
+    __slots__ = ("n", "products", "flat")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, n: int, trees: tuple[ProductTree, ...], flat):
+    def __init__(self, n: int, products: tuple[Octonion, ...], flat):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "products", products)
         object.__setattr__(self, "flat", flat)
 
     @property
     def size(self) -> int:
-        return len(self.trees)
+        return len(self.products)
 
     def entry(self, i: int, j: int) -> Octonion:
         size = self.size
@@ -251,33 +266,24 @@ class AssociatorMatrix(_Record):
 
 
 def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
-    """Materialize all pairwise order-conversion factors for one sequence."""
-    _require_matrix_factors(factors)
-    return _matrix_from_products(factors, tree_products(factors))
-
-
-def _require_matrix_factors(factors: Sequence[Octonion]) -> None:
+    """All pairwise order-conversion factors of ``factors``, from their
+    `tree_products`.  A factor count outside 1..MAX_MATRIX_FACTORS or a zero
+    factor is refused before any product; on float, so is a product or a
+    squared norm of one beyond the binary64 range, after the products."""
     n = len(factors)
     if not 1 <= n <= MAX_MATRIX_FACTORS:
         raise OutOfRangeError(
             f"matrix factor count must be in 1..{MAX_MATRIX_FACTORS}, got {n}"
         )
     _require_nonzero_factors(factors)
-
-
-def _matrix_from_products(
-    factors: Sequence[Octonion], products: list[Octonion]
-) -> AssociatorMatrix:
-    """`associator_matrix` of ``factors``, checked by `_require_matrix_factors`,
-    from ``products``, their `tree_products`, for a caller that holds them."""
-    n = len(factors)
-    trees = tuple(enumerate_trees(n))
+    products = tree_products(factors)
     if factors[0].backend == FLOAT:
+        _require_representable(factors, products)
         flat = _entries_float(products)
     else:
         inverses = [p.inverse() for p in products]
         flat = [inv * p for inv in inverses for p in products]
-    return AssociatorMatrix(n=n, trees=trees, flat=flat)
+    return AssociatorMatrix(n, tuple(products), flat)
 
 
 def _entries_float(products: list[Octonion]):
@@ -295,14 +301,14 @@ def _entries_float(products: list[Octonion]):
     return flat
 
 
-def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar = 0) -> tuple[bool, bool]:
+def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> tuple[bool, bool]:
     """The matrix's two invariants: ``(diagonal_ok, symmetry_ok)``.
 
     Whether every diagonal entry equals 1, and every entry (j, i) equals the
     conjugate of entry (i, j), each compared as `Octonion.equals` compares
-    at ``tolerance``.
+    at `resolve_tolerance` of the matrix's backend and ``tolerance``.
     """
-    require_tolerance(tolerance)
+    tolerance = resolve_tolerance(matrix.products[0].backend, tolerance)
     size, flat = matrix.size, matrix.flat
     if not isinstance(flat, list):
         from . import kernels

@@ -31,4 +31,4 @@ def perturbed(m: AssociatorMatrix, i: int, j: int, k: int, delta: float) -> Asso
     entry (i, j)."""
     flat = m.flat.copy()
     flat[i * m.size + j, k] += delta
-    return AssociatorMatrix(n=m.n, trees=m.trees, flat=flat)
+    return AssociatorMatrix(n=m.n, products=m.products, flat=flat)

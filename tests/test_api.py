@@ -77,3 +77,23 @@ def test_dir_lists_every_export_before_any_is_resolved():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.stdout.split() == ["True", "0"], result
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # octbench/tracer.py wraps these names by getattr; a traced benchmark run
+    # fails on one that was renamed or deleted.  Loaded from its file, not
+    # imported from a package, and nothing of it is installed.
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "octbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_octbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, functions in tracer.SPAN_FUNCTIONS.items():
+        module = importlib.import_module(f"octalg.{module_name}")
+        for function in functions:
+            assert callable(getattr(module, function, None)), f"{module_name}.{function}"
+    for metric, attribute in tracer.HOT_METHODS.items():
+        assert callable(getattr(octalg.Octonion, attribute, None)), metric

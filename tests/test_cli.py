@@ -366,6 +366,27 @@ class TestOrders:
         assert product_calls == [4]
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_matrix_is_built_by_the_library(self, capsys, monkeypatch, backend):
+        # One call builds the matrix and the products the CLI lists; with
+        # the test above, the CLI multiplies nothing of its own.
+        from octalg import trees
+
+        calls = []
+        build = trees.associator_matrix
+
+        def recording(factors):
+            calls.append(len(factors))
+            return build(factors)
+
+        monkeypatch.setattr(trees, "associator_matrix", recording)
+        code, _, _ = run_cli(
+            capsys, "orders", "1+e1", "2-e2", "e4+1/3e7", "3e5-e6", "--matrix",
+            "--backend", backend,
+        )
+        assert code == 0
+        assert calls == [4]
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_impossible_matrix_is_refused_before_any_product(
         self, capsys, product_calls, backend
     ):
@@ -474,12 +495,10 @@ class TestOrders:
         from octalg import trees
 
         j = 0 if coefficient == 0 else 1
-        build = trees._matrix_from_products
+        build = trees.associator_matrix
         monkeypatch.setattr(
-            trees, "_matrix_from_products",
-            lambda factors, products: perturbed(
-                build(factors, products), 0, j, coefficient, 1e-11
-            ),
+            trees, "associator_matrix",
+            lambda factors: perturbed(build(factors), 0, j, coefficient, 1e-11),
         )
         code, out, _ = run_cli(
             capsys, "orders", "1 + e1", "2 - e2", "e4 + 1/3e7", "--matrix",
@@ -532,6 +551,23 @@ class TestCheckReport:
         with pytest.raises(InvalidToleranceError):
             run_checks(cases=1, backend="float", tolerance=bad)
 
+    @pytest.mark.parametrize("tolerance", [1e-3, -1, float("nan")])
+    def test_a_nonzero_exact_tolerance_is_refused(self, tolerance):
+        from octalg.checks import run_checks
+        from octalg.errors import InvalidToleranceError
+
+        with pytest.raises(InvalidToleranceError, match="float backend"):
+            run_checks(cases=1, backend="exact", tolerance=tolerance)
+        assert run_checks(cases=1, backend="exact", tolerance=0) == run_checks(cases=1)
+
+    @pytest.mark.parametrize("cases", [0, -3])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_a_case_count_below_one_is_refused(self, cases, backend):
+        from octalg.checks import run_checks
+
+        with pytest.raises(ValueError, match=f"cases must be at least 1, got {cases}"):
+            run_checks(cases=cases, backend=backend)
+
 
 class TestCheck:
     def test_exact_suite_passes(self, capsys):
@@ -557,6 +593,13 @@ class TestCheck:
     def test_bad_cases_value(self, capsys):
         code, _, err = run_cli(capsys, "check", "--cases", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_bad_cases_value_names_the_limit(self, capsys, cases):
+        code, out, err = run_cli(capsys, "check", "--cases", cases, "--backend", "float")
+        assert code == 1
+        assert out == ""
+        assert err == f"octalg: error: cases must be at least 1, got {cases}\n"
 
     def test_float_failure_names_the_tolerance(self, capsys):
         # At tolerance 0 float rounding fails identities: the summary names

@@ -491,6 +491,22 @@ class TestConstructionAndBackends:
             with pytest.raises(InvalidToleranceError):
                 y.equals(y, bad)
 
+    def test_resolve_tolerance(self):
+        # None is the backend's default; exact compares exactly, so only 0
+        # passes there; float takes any finite tolerance >= 0 as it is.
+        assert core.resolve_tolerance("exact") == 0
+        assert core.resolve_tolerance("float") == core.DEFAULT_FLOAT_TOLERANCE == 1e-12
+        for zero in (0, 0.0, Fraction(0)):
+            assert core.resolve_tolerance("exact", zero) == 0
+        for good in (0.0, 5e-324, 0.5, 1e300):
+            assert core.resolve_tolerance("float", good) == good
+        for bad in (1e-12, Fraction(1, 10), -1, float("nan"), float("inf")):
+            with pytest.raises(InvalidToleranceError, match="float backend"):
+                core.resolve_tolerance("exact", bad)
+        for bad in (-1e-9, -math.inf, float("nan"), float("inf")):
+            with pytest.raises(InvalidToleranceError, match="finite number >= 0"):
+                core.resolve_tolerance("float", bad)
+
     def test_float_backend_products(self):
         x = unit(1).as_float()
         y = unit(2).as_float()
@@ -509,7 +525,7 @@ class TestConstructionAndBackends:
                     assert (twin._d, _hex(twin._v)) == (value._d, _hex(value._v))
         m = associator_matrix([unit(1), unit(2), unit(4), Octonion.parse("1/3 + e5")])
         for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-            assert (twin.n, twin.trees, twin.flat) == (m.n, m.trees, m.flat)
+            assert (twin.n, twin.products, twin.flat) == (m.n, m.products, m.flat)
 
 
 class TestExactRepresentation:

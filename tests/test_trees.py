@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from octalg import (
     AssociatorMatrix,
+    InvalidToleranceError,
     Leaf,
     Node,
+    NonFiniteError,
     Octonion,
     OutOfRangeError,
     ShapeMismatchError,
@@ -136,7 +138,6 @@ class TestEnumeration:
 
     def test_render(self):
         assert render_tree(left_comb(4)) == "((x1*x2)*x3)*x4"
-        assert render_tree(right_comb(3), ["a", "b", "c"]) == "a*(b*c)"
 
     def test_a_value_that_is_not_a_tree_is_a_type_error(self):
         for bad in (42, Node(Leaf(1), 42)):
@@ -389,13 +390,16 @@ class TestGeneralizedAssociator:
 class TestAssociatorMatrix:
     def test_equality_is_identity_and_fields_are_frozen(self):
         m = associator_matrix([unit(1), unit(2), unit(4)])
-        twin = AssociatorMatrix(n=m.n, trees=m.trees, flat=m.flat)
+        twin = AssociatorMatrix(n=m.n, products=m.products, flat=m.flat)
         assert m == m
         assert m != twin
         assert len({m, twin}) == 2
         with pytest.raises(AttributeError):
             m.n = 4
-        assert repr(m).startswith("AssociatorMatrix(n=3, trees=(Node(left=Leaf(position=1)")
+        assert repr(m).startswith(
+            "AssociatorMatrix(n=3, products=(Octonion('-e7', backend='exact'), "
+            "Octonion('e7', backend='exact')), flat=[Octonion('1', backend='exact')"
+        )
 
     def test_real_factors(self):
         m = associator_matrix([Octonion.from_real(2), Octonion.from_real(3), ONE, ONE])
@@ -466,6 +470,22 @@ class TestAssociatorMatrix:
             associator_matrix([ONE] * 9)
         with pytest.raises(ZeroInverseError):
             associator_matrix([ONE, Octonion.zero()])
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (1e200, "the product under order 1 is beyond the binary64 range"),
+            (1e-200, "the product under order 1 underflows binary64 to 0"),
+            (1e100, "the squared norm of the product under order 1 is beyond the binary64 range"),
+        ],
+        ids=["overflow", "underflow", "norm-overflow"],
+    )
+    def test_float_products_beyond_binary64_are_refused(self, factor, message):
+        # Every factor is nonzero and finite; their products, or the squared
+        # norms the inverses divide by, are not.
+        x = Octonion.from_real(factor).as_float()
+        with pytest.raises(NonFiniteError, match=f"^{message}$"):
+            associator_matrix([x, x, Octonion.unit(4, "float")])
 
     def test_float_matrix_matches_scalar_products(self, rng):
         factors = [random_octonion(rng, backend="float", nonzero=True) for _ in range(4)]
@@ -589,6 +609,32 @@ class TestMatrixVerification:
         assert verify_matrix(m) == (True, True)
 
     @pytest.mark.parametrize(
+        "i, j, delta, verdicts",
+        [(2, 2, "1/1000000", (False, True)), (1, 3, "1/1000000e6", (True, False))],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_exact_negative_controls(self, i, j, delta, verdicts):
+        # A real part added to a diagonal entry keeps it self-conjugate.
+        m = associator_matrix([unit(1), unit(2), unit(4), Octonion.parse("1/3 + e5")])
+        flat = list(m.flat)
+        flat[i * m.size + j] += Octonion.parse(delta)
+        bad = AssociatorMatrix(n=m.n, products=m.products, flat=flat)
+        assert verify_matrix(bad) == verdicts
+
+    def test_default_tolerance_is_the_backends(self):
+        # Float roundoff fails both verdicts at 0, which the default is not.
+        m = _float_matrix(4, 0)
+        assert verify_matrix(m, 0.0) == (False, False)
+        assert verify_matrix(m) == verify_matrix(m, DEFAULT_FLOAT_TOLERANCE) == (True, True)
+        exact = associator_matrix([unit(1), unit(2), unit(4), unit(7)])
+        assert verify_matrix(exact) == verify_matrix(exact, 0) == (True, True)
+        with pytest.raises(InvalidToleranceError, match="float backend"):
+            verify_matrix(exact, DEFAULT_FLOAT_TOLERANCE)
+        for bad in (-1e-9, math.nan, math.inf):
+            with pytest.raises(InvalidToleranceError, match="finite"):
+                verify_matrix(m, bad)
+
+    @pytest.mark.parametrize(
         "i, j, k, delta, verdicts",
         [
             (3, 3, 0, 10 * DEFAULT_FLOAT_TOLERANCE, (False, True)),
@@ -634,7 +680,8 @@ class TestRendering:
         n, values = n_and_values
         size = CATALAN[n - 1]
         flat = np.array(values).reshape(size * size, 8)
-        m = AssociatorMatrix(n=n, trees=tuple(enumerate_trees(n)), flat=flat)
+        products = tuple(tree_products([Octonion.one("float")] * n))
+        m = AssociatorMatrix(n=n, products=products, flat=flat)
         assert list(_machine_blocks(m)) == [
             "\n".join(
                 f"{i + 1}\t{j + 1}\t{format_float_coefficients(flat[i * size + j].tolist())}"
