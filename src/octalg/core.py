@@ -56,8 +56,11 @@ DEFAULT_FLOAT_TOLERANCE = 1e-12
 def resolve_tolerance(backend: str, tolerance: Scalar | None = None) -> Scalar:
     """The comparison tolerance in force on ``backend``: 0 on exact, which
     compares exactly, and on float ``tolerance``, or `DEFAULT_FLOAT_TOLERANCE`
-    when it is None.  InvalidToleranceError for a nonzero tolerance on exact,
-    and for a negative, NaN or infinite one on float."""
+    when it is None.  ValueError for a backend other than `EXACT` and
+    `FLOAT`; InvalidToleranceError for a nonzero tolerance on exact, and for
+    a negative, NaN or infinite one on float."""
+    if backend not in (EXACT, FLOAT):
+        raise ValueError(f"backend must be {EXACT!r} or {FLOAT!r}, got {backend!r}")
     if backend == EXACT:
         if tolerance not in (None, 0):
             raise InvalidToleranceError(

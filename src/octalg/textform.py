@@ -161,7 +161,8 @@ def parse_octonion(text: str, backend: str = EXACT) -> Octonion:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Render one coefficient: ``3``, ``-3/4``, or a plain decimal float."""
+    """Render one coefficient: ``3``, ``-3/4``, or a float as its shortest
+    round-trip decimal, written positionally (``0.00001``, never ``1e-05``)."""
     if isinstance(value, float):
         text = repr(value)
         if "e" in text or "E" in text:
@@ -207,10 +208,35 @@ def format_coefficients(x: Octonion) -> str:
 def format_float_coefficients(values) -> str:
     """Machine rendering of 8 binary64 coefficients given as plain floats.
 
-    The same text as `format_scalar` per value: ``repr`` is used as is
-    unless one of them switched to scientific notation.
+    Each is written by `format_scalar`'s rule: its shortest round-trip
+    decimal, positionally.  ``repr`` is used as is unless one of them
+    switched to scientific notation.  `format_float_rows` writes the same
+    text for many rows at once.
     """
     text = ",".join(map(repr, values))
     if "e" in text:
         return ",".join(format_scalar(v) for v in values)
     return text
+
+
+def format_float_rows(rows) -> list[str]:
+    """`format_float_coefficients` of each row of a C-contiguous ``(m, 8)``
+    float64 array.
+
+    All rows are written by one ``orjson.dumps``, whose Ryū writes each
+    value's shortest round-trip digits, positionally from 1e-5 up to 1e16:
+    there its text is `format_scalar`'s.  Only a row holding an ``e`` is
+    rendered again per value, and one holding an ``n``: orjson writes a
+    non-finite value as ``null``.
+    """
+    import orjson  # imported here: only the float machine matrix needs it
+
+    if not len(rows):
+        return []
+    cells = (
+        orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    )
+    for k, cell in enumerate(cells):
+        if "e" in cell or "n" in cell:
+            cells[k] = format_float_coefficients(rows[k].tolist())
+    return cells

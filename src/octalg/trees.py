@@ -355,7 +355,7 @@ def _machine_blocks(matrix: AssociatorMatrix):
     """The lines of `format_matrix_machine`, one block per matrix row: row
     i's lines joined by newlines, with no trailing newline.  The caller
     writes each block as it comes, so no more than one row's text is held."""
-    from .textform import format_coefficients, format_float_coefficients
+    from .textform import format_coefficients, format_float_rows
 
     size, flat = matrix.size, matrix.flat
     if isinstance(flat, list):
@@ -365,22 +365,11 @@ def _machine_blocks(matrix: AssociatorMatrix):
                 f"{i}\t{j}\t{format_coefficients(x)}" for j, x in enumerate(row, start=1)
             )
         return
-    # Each float row is rendered by one % call: %r of a Python float is its
-    # repr, the text of `format_float_coefficients` unless a value switched
-    # to scientific notation.  Only lines holding an "e" are rendered again:
-    # nearly every row holds one, since the diagonal's imaginary parts are
-    # roundoff of about 1e-17, so re-rendering whole rows would double the cost.
-    cells = ["\t%d\t" % j + ",".join(["%r"] * 8) for j in range(1, size + 1)]
+    # A float row's coefficients are rendered by one `format_float_rows`
+    # call (one C pass over the row's C-contiguous slice) and its lines by
+    # one % call over a template built once per matrix.
+    cells = ["\t%d\t%%s" % j for j in range(1, size + 1)]
     for i in range(1, size + 1):
-        # tolist() first: numpy's repr of a float64 is different text.
-        values = flat[(i - 1) * size:i * size].ravel().tolist()
         prefix = str(i)
-        block = (prefix + ("\n" + prefix).join(cells)) % tuple(values)
-        if "e" in block:
-            lines = block.split("\n")
-            for j, line in enumerate(lines):
-                if "e" in line:
-                    coefficients = format_float_coefficients(values[8 * j:8 * j + 8])
-                    lines[j] = f"{i}\t{j + 1}\t{coefficients}"
-            block = "\n".join(lines)
-        yield block
+        texts = format_float_rows(flat[(i - 1) * size:i * size])
+        yield (prefix + ("\n" + prefix).join(cells)) % tuple(texts)

@@ -551,6 +551,15 @@ class TestCheckReport:
         with pytest.raises(InvalidToleranceError):
             run_checks(cases=1, backend="float", tolerance=bad)
 
+    @pytest.mark.parametrize("backend", ["Float", "Exact", "fraction"])
+    def test_an_unknown_backend_is_refused(self, backend):
+        # Refused before any case is drawn: sampling reads every name but
+        # "float" as exact, so a misspelled float run would check exact cases.
+        from octalg.checks import run_checks
+
+        with pytest.raises(ValueError, match="backend must be 'exact' or 'float', got"):
+            run_checks(cases=2, backend=backend)
+
     @pytest.mark.parametrize("tolerance", [1e-3, -1, float("nan")])
     def test_a_nonzero_exact_tolerance_is_refused(self, tolerance):
         from octalg.checks import run_checks
@@ -699,13 +708,15 @@ class TestGlobalFlags:
 
 # Run in a fresh interpreter, since this test session has imported every
 # module: runs the command line on sys.argv[1:] with its output discarded,
-# then prints the exit code and the loaded octalg and numpy modules.
+# then prints the exit code and the loaded octalg, numpy and orjson modules.
 _LOADED_MODULES = """
 import contextlib, io, sys
 from octalg import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "octalg"))
+print(code, *sorted(
+    m for m in sys.modules if m in ("numpy", "orjson") or m.split(".")[0] == "octalg"
+))
 """
 
 
@@ -757,6 +768,35 @@ class TestColdStart:
         loaded = _loaded_modules("orders", "1+e1", "e2", "e4", "3-e5", "--matrix")
         assert "trees" in loaded
         assert not loaded & {"exprs", "brackets", "checks", "numpy"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "x*y~*z^-1", "--let", "x=1+e1", "--let", "y=e2", "--let", "z=e4"),
+            ("commutator", "1+e1", "e2", "--format", "machine"),
+            ("associator", "1+e1", "e2", "e4", "--additive"),
+            ("orders", "1+e1", "e2", "e4", "3-e5", "--format", "machine"),
+            ("orders", "1+e1", "e2", "e4", "3-e5", "--matrix", "--format", "machine"),
+            ("orders", "1+e1", "e2", "e4", "--matrix"),
+            ("check", "--cases", "1", "--format", "machine"),
+            ("orders", "1+e1", "e2", "e4", "3-e5", "--backend", "float", "--format", "machine"),
+            ("orders", "1+e1", "e2", "e4", "3-e5", "--backend", "float"),
+            ("orders", "1+e1", "e2", "e4", "--matrix", "--backend", "float"),
+        ],
+        ids=[
+            "eval", "commutator", "associator", "listing", "matrix", "text-matrix", "check",
+            "float-listing", "float-text-listing", "float-text-matrix",
+        ],
+    )
+    def test_exact_commands_and_float_text_load_no_orjson(self, argv):
+        assert "orjson" not in _loaded_modules(*argv)
+
+    def test_float_machine_matrix_loads_orjson(self):
+        loaded = _loaded_modules(
+            "orders", "1+e1", "e2", "e4", "--matrix", "--backend", "float",
+            "--format", "machine",
+        )
+        assert {"trees", "textform", "numpy", "orjson"} <= loaded
 
 
 class TestConsoleScript:

@@ -507,6 +507,12 @@ class TestConstructionAndBackends:
             with pytest.raises(InvalidToleranceError, match="finite number >= 0"):
                 core.resolve_tolerance("float", bad)
 
+    @pytest.mark.parametrize("backend", ["Float", "EXACT", "", None])
+    def test_resolve_tolerance_refuses_an_unknown_backend(self, backend):
+        for tolerance in (None, 0, 1e-9):
+            with pytest.raises(ValueError, match="backend must be 'exact' or 'float'"):
+                core.resolve_tolerance(backend, tolerance)
+
     def test_float_backend_products(self):
         x = unit(1).as_float()
         y = unit(2).as_float()

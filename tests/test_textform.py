@@ -1,7 +1,9 @@
 """The shared octonion text format."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from octalg import (
     parse_octonion,
 )
 from octalg.core import _new
-from octalg.textform import format_float_coefficients, format_scalar
+from octalg.textform import format_float_coefficients, format_float_rows, format_scalar
+from octalg.trees import associator_matrix
 
 from tests.strategies import backends, octonions, source_text, unit
 
@@ -180,3 +183,67 @@ class TestRender:
         for value in (x, x * y, x - y * Fraction(5, 3)):
             expected = ",".join(format_scalar(v) for v in value.c)
             assert format_coefficients(value) == expected
+
+
+# Values at the edges of orjson's and repr's positional text, with the text
+# each renders as: orjson writes [1e-5, 1e-4) positionally, where repr does
+# not, and writes >= 1e16 and < 1e-5 in scientific notation, which
+# `format_float_rows` renders again per value.
+_ROW_EDGES = [
+    (1e-5, "0.00001"),
+    (9.999999999999999e-05, "0.00009999999999999999"),
+    (1e-4, "0.0001"),
+    (5e-324, "0." + "0" * 323 + "5"),
+    (2.0**-1022, "0." + "0" * 307 + "22250738585072014"),
+    (2.0**-17, "0.00000762939453125"),
+    (2.0**53, "9007199254740992.0"),
+    (9999999999999998.0, "9999999999999998.0"),
+    (1e16, "10000000000000000"),
+    (1.7976931348623157e308, "17976931348623157" + "0" * 292),
+    (0.0, "0.0"),
+    (-0.0, "-0.0"),
+    (0.1, "0.1"),
+]
+_EDGE_VALUES = [value for value, _ in _ROW_EDGES]
+_FINITE_ROWS = st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8)
+    | st.lists(st.sampled_from(_EDGE_VALUES), min_size=8, max_size=8),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestFloatRows:
+    """`format_float_rows` writes each row as `format_scalar` does per value."""
+
+    @given(_FINITE_ROWS)
+    @example([_EDGE_VALUES[:8], _EDGE_VALUES[5:]])
+    def test_rows_match_per_value_rendering(self, rows):
+        expected = [",".join(map(format_scalar, row)) for row in rows]
+        assert format_float_rows(np.array(rows, dtype=np.float64)) == expected
+
+    @pytest.mark.parametrize("value, text", _ROW_EDGES, ids=[repr(v) for v, _ in _ROW_EDGES])
+    def test_edge_values(self, value, text):
+        row = [value, -value, 1.0, value, 0.5, -value, value, 3.0]
+        rendered, = format_float_rows(np.array([row]))
+        assert rendered == ",".join(map(format_scalar, row))
+        first = rendered.split(",")[0]
+        assert first == text
+        assert float(first).hex() == value.hex()
+
+    def test_non_finite_rows_match_the_per_row_rendering(self):
+        rows = [[math.nan, 1.0, -math.inf, 0.0, -0.0, 0.0, 0.0, 2.5], [math.inf] + [1e-7] * 7]
+        assert format_float_rows(np.array(rows)) == [
+            format_float_coefficients(row) for row in rows
+        ]
+
+    def test_no_rows(self):
+        assert format_float_rows(np.zeros((0, 8))) == []
+
+    def test_float_matrix_is_c_contiguous(self):
+        # orjson refuses an array that is not C-contiguous, and each matrix
+        # row is passed as a slice of ``flat``.
+        factors = [parse_octonion(t, "float") for t in ("1 + 2e1", "0.5 - e4", "e2 + 3e7", "2 - e5")]
+        flat = associator_matrix(factors).flat
+        assert flat.dtype == np.float64 and flat.shape == (25, 8)
+        assert flat.flags.c_contiguous and flat[5:10].flags.c_contiguous

@@ -6,6 +6,7 @@ import math
 import operator
 import pickle
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -633,6 +634,17 @@ class TestMatrixVerification:
         for bad in (-1e-9, math.nan, math.inf):
             with pytest.raises(InvalidToleranceError, match="finite"):
                 verify_matrix(m, bad)
+
+    @pytest.mark.parametrize("backend", ["Float", "Exact"])
+    def test_an_unknown_backend_is_refused(self, backend):
+        # Only a product's `backend` is read to pick the tolerance; an
+        # Octonion always names a known one, so a stand-in names another.
+        m = _float_matrix(3, 0)
+        products = tuple(types.SimpleNamespace(backend=backend) for _ in m.products)
+        bad = AssociatorMatrix(n=m.n, products=products, flat=m.flat)
+        for tolerance in (None, DEFAULT_FLOAT_TOLERANCE):
+            with pytest.raises(ValueError, match="backend must be 'exact' or 'float', got"):
+                verify_matrix(bad, tolerance)
 
     @pytest.mark.parametrize(
         "i, j, k, delta, verdicts",
