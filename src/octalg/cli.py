@@ -150,10 +150,6 @@ def _emit_value(value: Octonion, fmt: str) -> None:
         print(format_octonion(value))
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _cmd_eval(args, tolerance) -> int:
     from .exprs import Environment, eval_expr, parse_with_info
     from .textform import parse_octonion
@@ -162,7 +158,7 @@ def _cmd_eval(args, tolerance) -> int:
     for binding in args.let:
         name, sep, text = binding.partition("=")
         if not sep:
-            raise UsageError(f"--let expects NAME=OCTONION, got {binding!r}")
+            raise ValueError(f"--let expects NAME=OCTONION, got {binding!r}")
         env.bind(name.strip(), parse_octonion(text, args.backend))
     expr, chains = parse_with_info(args.expr, args.backend)
     value = eval_expr(expr, env)

@@ -160,16 +160,19 @@ def parse_octonion(text: str, backend: str = EXACT) -> Octonion:
     return value
 
 
+def _positional(text: str) -> str:
+    """A float's shortest round-trip digits ``text``, written positionally:
+    text in scientific notation (``1e-05``, ``1e-17``) is expanded to the
+    same digits (``0.00001``), so it still round-trips and re-parses."""
+    return format(Decimal(text), "f") if "e" in text else text
+
+
 def format_scalar(value: Scalar) -> str:
     """Render one coefficient: ``3``, ``-3/4``, or a float as its shortest
-    round-trip decimal, written positionally (``0.00001``, never ``1e-05``)."""
+    round-trip decimal, written positionally (``0.00001``, never ``1e-05``):
+    `_positional` of its ``repr``."""
     if isinstance(value, float):
-        text = repr(value)
-        if "e" in text or "E" in text:
-            # repr switched to scientific notation; expand the same shortest
-            # decimal positionally so it still round-trips and re-parses.
-            text = format(Decimal(text), "f")
-        return text
+        return _positional(repr(value))
     return str(value)
 
 
@@ -201,33 +204,19 @@ def format_terms(coefficients) -> str:
 def format_coefficients(x: Octonion) -> str:
     """Machine rendering: the 8 coefficients, comma-separated."""
     if x.backend == FLOAT:
-        return format_float_coefficients(x.c)
+        return ",".join(map(format_scalar, x.c))
     return ",".join(str(n) if d == 1 else f"{n}/{d}" for n, d in x.ratios())
 
 
-def format_float_coefficients(values) -> str:
-    """Machine rendering of 8 binary64 coefficients given as plain floats.
-
-    Each is written by `format_scalar`'s rule: its shortest round-trip
-    decimal, positionally.  ``repr`` is used as is unless one of them
-    switched to scientific notation.  `format_float_rows` writes the same
-    text for many rows at once.
-    """
-    text = ",".join(map(repr, values))
-    if "e" in text:
-        return ",".join(format_scalar(v) for v in values)
-    return text
-
-
 def format_float_rows(rows) -> list[str]:
-    """`format_float_coefficients` of each row of a C-contiguous ``(m, 8)``
-    float64 array.
+    """The machine rendering of each row of a C-contiguous ``(m, 8)`` float64
+    array: its values comma-separated, each as `format_scalar` writes it.
 
     All rows are written by one ``orjson.dumps``, whose Ryū writes each
-    value's shortest round-trip digits, positionally from 1e-5 up to 1e16:
-    there its text is `format_scalar`'s.  Only a row holding an ``e`` is
-    rendered again per value, and one holding an ``n``: orjson writes a
-    non-finite value as ``null``.
+    value's shortest round-trip digits, positionally from 1e-5 up to 1e16,
+    and in scientific notation outside: only those tokens are expanded, by
+    `_positional` from orjson's own digits.  A row holding ``null``, which
+    is how orjson writes a non-finite value, is rendered per value.
     """
     import orjson  # imported here: only the float machine matrix needs it
 
@@ -237,6 +226,8 @@ def format_float_rows(rows) -> list[str]:
         orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
     )
     for k, cell in enumerate(cells):
-        if "e" in cell or "n" in cell:
-            cells[k] = format_float_coefficients(rows[k].tolist())
+        if "n" in cell:
+            cells[k] = ",".join(map(format_scalar, rows[k].tolist()))
+        elif "e" in cell:
+            cells[k] = ",".join(map(_positional, cell.split(",")))
     return cells

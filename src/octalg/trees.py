@@ -306,7 +306,8 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> 
 
     Whether every diagonal entry equals 1, and every entry (j, i) equals the
     conjugate of entry (i, j), each compared as `Octonion.equals` compares
-    at `resolve_tolerance` of the matrix's backend and ``tolerance``.
+    at `resolve_tolerance` of the matrix's backend and ``tolerance``: on
+    exact that is ``==``, structural equality of reduced values.
     """
     tolerance = resolve_tolerance(matrix.products[0].backend, tolerance)
     size, flat = matrix.size, matrix.flat
@@ -315,9 +316,9 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> 
 
         return kernels.conversion_verdicts(flat, size, tolerance)
     one = Octonion.one(EXACT)
-    diagonal_ok = all(flat[i * size + i].equals(one, tolerance) for i in range(size))
+    diagonal_ok = all(flat[i * size + i] == one for i in range(size))
     symmetry_ok = all(
-        flat[j * size + i].equals(flat[i * size + j].conjugate(), tolerance)
+        flat[j * size + i] == flat[i * size + j].conjugate()
         for i in range(size)
         for j in range(size)
     )
@@ -326,18 +327,16 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> 
 
 def format_matrix_text(matrix: AssociatorMatrix) -> str:
     """Aligned plain-text table of the matrix entries."""
-    from .textform import format_octonion, format_terms
+    from .textform import format_terms
 
     size, flat = matrix.size, matrix.flat
     cells = []
     for i in range(size):
         row = flat[i * size:(i + 1) * size]
-        if isinstance(row, list):
-            cells.append([format_octonion(x) for x in row])
-        else:
-            # One row at a time: converting the whole array would hold a
-            # Python float for every coefficient at once.
-            cells.append([format_terms(values) for values in row.tolist()])
+        # One row at a time: converting a whole float array would hold a
+        # Python float for every coefficient at once.
+        coefficients = [x.c for x in row] if isinstance(row, list) else row.tolist()
+        cells.append([format_terms(values) for values in coefficients])
     widths = [max(len(cells[i][j]) for i in range(size)) for j in range(size)]
     lines = []
     for i, row in enumerate(cells):
@@ -358,18 +357,13 @@ def _machine_blocks(matrix: AssociatorMatrix):
     from .textform import format_coefficients, format_float_rows
 
     size, flat = matrix.size, matrix.flat
-    if isinstance(flat, list):
-        for i in range(1, size + 1):
-            row = flat[(i - 1) * size:i * size]
-            yield "\n".join(
-                f"{i}\t{j}\t{format_coefficients(x)}" for j, x in enumerate(row, start=1)
-            )
-        return
-    # A float row's coefficients are rendered by one `format_float_rows`
-    # call (one C pass over the row's C-contiguous slice) and its lines by
-    # one % call over a template built once per matrix.
+    # Every row's lines come from one % call over a template built once per
+    # matrix.  Only the row's coefficient texts differ by backend: an exact
+    # row renders entry by entry, a float row in one `format_float_rows`
+    # call (one C pass over the row's C-contiguous slice).
     cells = ["\t%d\t%%s" % j for j in range(1, size + 1)]
     for i in range(1, size + 1):
+        row = flat[(i - 1) * size:i * size]
+        texts = map(format_coefficients, row) if isinstance(row, list) else format_float_rows(row)
         prefix = str(i)
-        texts = format_float_rows(flat[(i - 1) * size:i * size])
         yield (prefix + ("\n" + prefix).join(cells)) % tuple(texts)

@@ -147,6 +147,12 @@ class TestEval:
         assert code == 1
         assert "reserved" in err
 
+    def test_binding_without_equals_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "x", "--let", "x")
+        assert code == 1
+        assert out == ""
+        assert err == "octalg: error: --let expects NAME=OCTONION, got 'x'\n"
+
     def test_float_backend(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "0.5e1*0.5e1", "--backend", "float"

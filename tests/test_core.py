@@ -533,6 +533,37 @@ class TestConstructionAndBackends:
         for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
             assert (twin.n, twin.products, twin.flat) == (m.n, m.products, m.flat)
 
+    def test_every_record_init_takes_its_slots_in_order(self):
+        # `core._from_key`, behind copy and pickle, rebuilds each record by
+        # calling its ``__init__`` with its ``__slots__`` in order.
+        from octalg import exprs, trees
+
+        samples = {
+            trees.Leaf: trees.Leaf(2),
+            trees.Node: trees.Node(trees.Leaf(1), trees.Leaf(2)),
+            trees.AssociatorMatrix: associator_matrix([unit(1), unit(2), Octonion.parse("1/3 + e5")]),
+            exprs.Literal: exprs.Literal(Octonion.parse("1/2 - e3")),
+            exprs.Var: exprs.Var("x"),
+            exprs.Product: exprs.Product(exprs.Var("x"), exprs.Var("y")),
+            exprs.Conj: exprs.Conj(exprs.Var("x")),
+            exprs.Inv: exprs.Inv(exprs.Var("x")),
+            exprs._Token: exprs._Token("NUMBER", 3, "1/2", Octonion.parse("1/2")),
+            checks.CheckReport: checks.CheckReport("moufang", 5, 1, "x != y"),
+        }
+        records, todo = [], [core._Record]
+        while todo:
+            subclasses = todo.pop().__subclasses__()
+            records += subclasses
+            todo += subclasses
+        assert set(records) == set(samples)
+        for cls, value in samples.items():
+            params = list(inspect.signature(cls.__init__).parameters)
+            assert params[1:] == list(cls.__slots__), cls.__qualname__
+            for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin is not value and type(twin) is cls
+                # AssociatorMatrix compares by identity: compare its fields.
+                assert twin._key() == value._key(), cls.__qualname__
+
 
 class TestExactRepresentation:
     """Exact values are 8 ints over one reduced denominator; every operation

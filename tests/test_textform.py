@@ -17,7 +17,8 @@ from octalg import (
     parse_octonion,
 )
 from octalg.core import _new
-from octalg.textform import format_float_coefficients, format_float_rows, format_scalar
+from octalg import textform
+from octalg.textform import format_float_rows, format_scalar
 from octalg.trees import associator_matrix
 
 from tests.strategies import backends, octonions, source_text, unit
@@ -173,9 +174,10 @@ class TestRender:
 
     @given(st.lists(_FLOATS, min_size=8, max_size=8))
     def test_float_fast_join_matches_per_value_rendering(self, values):
+        # The values may be non-finite: orjson's ``null``, and Octonion()
+        # refuses them.
         expected = ",".join(format_scalar(v) for v in values)
-        assert format_float_coefficients(values) == expected
-        # The values may be non-finite, which Octonion() refuses.
+        assert format_float_rows(np.array([values])) == [expected]
         assert format_coefficients(_new(values, None)) == expected
 
     @given(octonions, octonions)
@@ -234,7 +236,39 @@ class TestFloatRows:
     def test_non_finite_rows_match_the_per_row_rendering(self):
         rows = [[math.nan, 1.0, -math.inf, 0.0, -0.0, 0.0, 0.0, 2.5], [math.inf] + [1e-7] * 7]
         assert format_float_rows(np.array(rows)) == [
-            format_float_coefficients(row) for row in rows
+            ",".join(map(format_scalar, row)) for row in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "row, text",
+        [
+            (
+                [1.0, 1e-17, -2.5e-18, 0.0, 3e-17, -0.0, 1.5e-16, -4e-19],
+                "1.0,0.00000000000000001,-0.0000000000000000025,0.0,"
+                "0.00000000000000003,-0.0,0.00000000000000015,-0.0000000000000000004",
+            ),
+            (
+                [1e16, 5e-324, 0.5, -1e16, 2.0**53, 1e-5, -5e-324, 12.25],
+                "10000000000000000,0." + "0" * 323 + "5,0.5,-10000000000000000,"
+                "9007199254740992.0,0.00001,-0." + "0" * 323 + "5,12.25",
+            ),
+        ],
+        ids=["diagonal-like", "range-edges"],
+    )
+    def test_rows_mixing_scientific_and_positional_tokens(self, row, text):
+        assert format_float_rows(np.array([row])) == [text]
+        assert text == ",".join(map(format_scalar, row))
+
+    def test_scientific_tokens_expand_from_orjson_digits(self, monkeypatch):
+        # Only a row holding ``null`` is rendered per value: a finite row's
+        # scientific tokens are expanded from the dump's own digits.
+        def refuse(value):
+            raise AssertionError("a finite row was rendered per value")
+
+        monkeypatch.setattr(textform, "format_scalar", refuse)
+        row = [1.0, 1e-17, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert format_float_rows(np.array([row])) == [
+            "1.0,0.00000000000000001,0.0,0.0,0.0,0.0,0.0,0.0"
         ]
 
     def test_no_rows(self):

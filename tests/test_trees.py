@@ -38,7 +38,7 @@ from octalg.brackets import expand_word
 from octalg.sampling import random_octonion, random_scalar
 from octalg.core import DEFAULT_FLOAT_TOLERANCE
 from octalg.checks import CheckReport
-from octalg.textform import format_coefficients, format_float_coefficients
+from octalg.textform import format_coefficients, format_scalar
 from octalg.trees import (
     CATALAN,
     _machine_blocks,
@@ -696,7 +696,7 @@ class TestRendering:
         m = AssociatorMatrix(n=n, products=products, flat=flat)
         assert list(_machine_blocks(m)) == [
             "\n".join(
-                f"{i + 1}\t{j + 1}\t{format_float_coefficients(flat[i * size + j].tolist())}"
+                f"{i + 1}\t{j + 1}\t{','.join(map(format_scalar, flat[i * size + j].tolist()))}"
                 for j in range(size)
             )
             for i in range(size)
