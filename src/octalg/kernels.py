@@ -8,7 +8,9 @@ callers never load it.
 `multiply` runs `core._product`, the product generated from the derived
 table, on coefficient columns, and `norm_squared` runs
 `core._sum_of_squares` on them; each output column is the same ordered
-sum the scalar backend computes, so the two agree bit for bit.
+sum the scalar backend computes, so the two agree bit for bit.  `multiply`
+broadcasts its operands, so `pairwise_products` forms every ``a_i * b_j``
+term as an outer product of two column views, with no repeated operand rows.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ _ONE = np.array([1.0] + [0.0] * 7)
 _CONJUGATE_SIGN = np.array([1.0] + [-1.0] * 7)
 
 
-def _as_batch(a) -> np.ndarray:
+def _as_batch(a, broadcast: bool = False) -> np.ndarray:
+    """``a`` as float64 coefficient rows: an ``(n, 8)`` array, or with
+    ``broadcast`` any ``(..., 8)`` array."""
     arr = np.ascontiguousarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 8:
+    if arr.shape[-1:] != (8,) or not (broadcast or arr.ndim == 2):
         raise ValueError(f"expected an (n, 8) coefficient array, got shape {arr.shape}")
     return arr
 
@@ -37,20 +41,28 @@ def from_octonions(values: Sequence[Octonion]) -> np.ndarray:
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products ``a[k] * b[k]``."""
-    a = _as_batch(a)
-    b = _as_batch(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    # The rows of a.T and b.T are coefficient columns.
-    return np.stack(_product(a.T, b.T, 0.0), axis=1)
+    """Products of ``(..., 8)`` coefficient arrays whose leading axes
+    broadcast against each other, as C-order ``(rows, 8)``: row-wise
+    ``a[k] * b[k]`` for two ``(n, 8)`` arrays, every ``a[i] * b[j]`` for
+    ``(m, 1, 8)`` by ``(1, n, 8)``."""
+    a = _as_batch(a, broadcast=True)
+    b = _as_batch(b, broadcast=True)
+    try:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}") from None
+    out = np.empty(shape)
+    # The rows of moveaxis(x, -1, 0) are coefficient columns, views of x.
+    columns = _product(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), 0.0)
+    for k, column in enumerate(columns):
+        out[..., k] = column
+    return out.reshape(-1, 8)
 
 
 def pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every pairwise product: row ``i * len(b) + j`` is ``a[i] * b[j]``."""
-    a = _as_batch(a)
-    b = _as_batch(b)
-    return multiply(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1)))
+    """Every pairwise product: row ``i * len(b) + j`` is ``a[i] * b[j]``,
+    one broadcast `multiply` call that copies neither operand."""
+    return multiply(_as_batch(a)[:, None], _as_batch(b)[None, :])
 
 
 def conjugate(a: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ and the module boundary that keeps numpy off the exact paths."""
 
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,36 @@ class TestAgainstScalarBackend:
             for j, y in enumerate(ys):
                 assert tuple(out[i * 3 + j]) == (x * y).c
 
+    @pytest.mark.parametrize(
+        "rows, cols", [(7, 3), (1, 7), (7, 1), (0, 7)], ids=["7x3", "1x7", "7x1", "0x7"]
+    )
+    def test_pairwise_products_bitwise_on_edge_values(self, rng, rows, cols):
+        values = _edge_operands(rng)
+        xs, ys = values[:rows], values[-cols:]
+        with np.errstate(all="ignore"):
+            out = kernels.pairwise_products(
+                # from_octonions([]) has shape (0,), not (0, 8).
+                kernels.from_octonions(xs).reshape(-1, 8),
+                kernels.from_octonions(ys),
+            )
+        assert out.shape == (rows * cols, 8)
+        expected = [_hex((x * y).c) for x in xs for y in ys]
+        assert [_hex(row) for row in out] == expected
+
+    def test_pairwise_products_peak_memory(self):
+        # Broadcast outer products copy neither operand: the peak is the
+        # result, its 8 columns and one sum's temporaries, not 4x the result
+        # as with a repeated and a tiled operand.
+        gen = np.random.default_rng(132)
+        a, b = gen.standard_normal((132, 8)), gen.standard_normal((132, 8))
+        tracemalloc.start()
+        try:
+            out = kernels.pairwise_products(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes, peak / out.nbytes
+
     def test_conjugate_and_norm(self, rng):
         xs, ax = _batch(rng, 32)
         conj = kernels.conjugate(ax)
@@ -114,6 +145,20 @@ class TestShapeHandling:
     def test_rejects_mismatched_batches(self):
         with pytest.raises(ValueError, match="shapes differ"):
             kernels.multiply(np.zeros((3, 8)), np.zeros((4, 8)))
+
+    def test_broadcast_outer_product_is_pairwise_products(self, rng):
+        _, ax = _batch(rng, 5)
+        _, ay = _batch(rng, 3)
+        out = kernels.multiply(ax[:, None], ay[None, :])
+        assert out.shape == (15, 8) and out.flags.c_contiguous
+        assert _hex(out.ravel()) == _hex(kernels.pairwise_products(ax, ay).ravel())
+
+    def test_broadcast_one_row_multiplies_every_row(self, rng):
+        xs, ax = _batch(rng, 6)
+        [y], ay = _batch(rng, 1)
+        out = kernels.multiply(ax, ay)
+        assert out.shape == (6, 8)
+        assert [_hex(row) for row in out] == [_hex((x * y).c) for x in xs]
 
     def test_round_trip_wrappers(self, rng):
         # The order-conversion matrix wraps one array row at a time this way.

@@ -499,6 +499,26 @@ class TestAssociatorMatrix:
                 expected = inv * products[j]
                 assert m.entry(i, j) == expected  # bitwise, by design
 
+    def test_float_matrix_is_one_kernel_call(self, monkeypatch):
+        # The benchmark's tracer rebinds kernels.multiply and reads its calls
+        # and rows per request: one call returning all T^2 = 132^2 entries.
+        from octalg import kernels
+
+        results = []
+        multiply = kernels.multiply
+
+        def counting(a, b):
+            results.append(multiply(a, b))
+            return results[-1]
+
+        monkeypatch.setattr(kernels, "multiply", counting)
+        gen = random.Random("kernel-calls-7")
+        m = associator_matrix(
+            [random_octonion(gen, backend="float", nonzero=True) for _ in range(7)]
+        )
+        assert [len(r) for r in results] == [17_424]
+        assert m.flat is results[0]
+
     def test_float_matrix_tracks_exact(self, rng):
         exact_factors = [random_octonion(rng, nonzero=True) for _ in range(4)]
         float_factors = [f.as_float() for f in exact_factors]
