@@ -6,6 +6,9 @@ the comparison tolerance is scaled by the magnitude of the values being
 compared, because intermediate products of several octonions grow well
 beyond the input coefficients and carry proportional roundoff.
 
+Bi-associativity compares each distinct product of a word, over all of
+its evaluation orders, once: not one product per order.
+
 Cases run sequentially in seed order; each identity derives its own seed
 from (seed, identity name) so the streams stay independent of list order.
 """
@@ -24,7 +27,7 @@ from .brackets import (
 )
 from .core import EXACT, FLOAT, Octonion, _eq, _Record, resolve_tolerance
 from .sampling import DEFAULT_SEED, random_octonion, random_word
-from .trees import tree_products
+from .trees import _distinct_products
 
 
 class CheckReport(_Record):
@@ -123,10 +126,19 @@ def _check_schafer(rng, backend, tol):
 
 
 def _check_biassociativity(rng, backend, tol):
+    """Every evaluation order of a random two-generator word gives one
+    product (Artin's theorem), compared on the word's distinct products:
+    every order's product is one of them, and the first order's is the
+    first.  An exact word has only that one, so it makes no comparison."""
     x = random_octonion(rng, backend, nonzero=True)
     y = random_octonion(rng, backend, nonzero=True)
     word = random_word(rng)
-    reference, *others = tree_products(expand_word(word, x, y))
+    factors = expand_word(word, x, y)
+    reference, *others = _distinct_products(factors)[0]
+    if backend == FLOAT and len(factors) > 2:
+        # Other orders may share the first value, and a float value equals
+        # itself under `_eq` only when it is finite.
+        others.append(reference)
     for other in others:
         if not _eq(reference, other, tol):
             return f"word {word} differs between orders for x={x}, y={y}"

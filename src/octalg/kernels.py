@@ -36,8 +36,9 @@ def _as_batch(a, broadcast: bool = False) -> np.ndarray:
 
 
 def from_octonions(values: Sequence[Octonion]) -> np.ndarray:
-    """Stack octonions into an (n, 8) float64 coefficient array."""
-    return np.array([[float(v) for v in x.c] for x in values], dtype=np.float64)
+    """Stack octonions into an (n, 8) float64 coefficient array, ``(0, 8)``
+    for none."""
+    return np.array([[float(v) for v in x.c] for x in values], dtype=np.float64).reshape(-1, 8)
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,6 +12,11 @@ from that fold.  For n = 4 this yields, in order:
 
     x1*(x2*(x3*x4)), x1*((x2*x3)*x4), (x1*x2)*(x3*x4),
     (x1*(x2*x3))*x4, ((x1*x2)*x3)*x4
+
+Products fold over each span's distinct values, not over its trees
+(`_distinct_products`): the bi-associativity check reads only the whole
+product's distinct values, and `tree_products` reads one value per tree
+from the fold's tables for the callers that list every order.
 """
 
 from __future__ import annotations
@@ -151,18 +156,47 @@ def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
     return values[0]
 
 
+def _distinct_products(factors: Sequence[Octonion]) -> tuple[list[Octonion], list]:
+    """``(values, tables)``: the distinct products of ``factors`` over every
+    tree, in the order the canonical trees first reach them, and the fold's
+    record of how each span's values were made.
+
+    Each span keeps its distinct products, and for each split a table whose
+    row ``a``, column ``b`` is the index in that list of the product of
+    left value ``a`` and right value ``b``.  Every such pair is multiplied
+    once, and equal products are kept as one shared object (safe: an
+    Octonion is immutable).  Pairs are visited split by split in row-major
+    order, which is the order the canonical trees first reach them, since
+    each sub-span's values are in that order too; so the first value is the
+    product under the first tree.  ``tables`` holds each span's list of
+    per-split tables, spans in `_span_fold` order.
+    """
+    tables = []
+
+    def join(splits):
+        # Each value's index, in the order first made; a dict keeps the
+        # first object of equal keys, and its keys in insertion order.
+        index = {}
+        tables.append([
+            [[index.setdefault(left * right, len(index)) for right in rights] for left in lefts]
+            for lefts, rights in splits
+        ])
+        return list(index)
+
+    return _span_fold(factors, join), tables
+
+
 def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     """The product of ``factors`` under every tree of `enumerate_trees`, in
     the same canonical order.
 
-    Runs on `_span_fold`: the products of each span are built from the
-    products of its two sub-spans at every split, and each distinct pair of
-    sub-span objects is multiplied once per span.  Equal products of a span
-    are then kept as one shared object (safe: an Octonion is immutable), so
-    the spans above see them as one value.  Generic factors merge nothing
-    and cost one multiplication per tree of each span; an exact word in two
-    generators, whose every span has a single value (Artin's theorem),
-    costs (n**3 - n) / 6.
+    The products are the `_distinct_products` of ``factors``: each distinct
+    pair of sub-span values is multiplied once per span, and equal products
+    of a span are one shared object, so the spans above see them as one
+    value.  Generic factors merge nothing and cost one multiplication per
+    tree of each span; an exact word in two generators, whose every span
+    has a single value (Artin's theorem), costs (n**3 - n) / 6.  The
+    per-tree list is then read from the fold's tables, one index per tree.
 
     Every product is computed with the same operands as `evaluate` would
     use, so float results agree with it bit for bit.  Sharing by equality
@@ -171,25 +205,20 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     NaN equals nothing, so a product holding one is never merged.
     """
     _require_enumerable(len(factors))
+    values, tables = _distinct_products(factors)
+    # The same fold over value indices visits the spans in the order their
+    # tables were recorded.
+    span_tables = iter(tables)
 
     def join(splits):
-        # The span's product of each operand pair, and its one object for
-        # each product value.  Every operand is alive in the fold, so its
-        # id() is not reused while these are.
-        by_pair, by_value = {}, {}
-        products = []
-        for lefts, rights in splits:
-            for left in lefts:
-                for right in rights:
-                    key = (id(left), id(right))
-                    p = by_pair.get(key)
-                    if p is None:
-                        p = left * right
-                        p = by_pair[key] = by_value.setdefault(p, p)
-                    products.append(p)
-        return products
+        return [
+            row[b]
+            for (lefts, rights), table in zip(splits, next(span_tables))
+            for row in map(table.__getitem__, lefts)
+            for b in rights
+        ]
 
-    return _span_fold(factors, join)
+    return [values[k] for k in _span_fold([0] * len(factors), join)]
 
 
 def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:

@@ -539,6 +539,24 @@ class TestCheckReport:
             hash(report)
         assert run_checks(cases=2, names=["moufang"]) == [CheckReport("moufang", 2, 0)]
 
+    def test_verdicts_are_pinned(self):
+        # sha256 of the reports' repr: every verdict and first-failure text
+        # of the suite, exact and float at four tolerances.
+        from octalg.checks import run_checks
+
+        exact = [run_checks(cases=40, seed=s) for s in (1, 2)]
+        floats = [
+            run_checks(cases=40, seed=s, backend="float", tolerance=t)
+            for s in (1, 2)
+            for t in (1e-12, 1e-15, 1e-16, 0.0)
+        ]
+        assert hashlib.sha256(repr(exact).encode()).hexdigest() == (
+            "c4a471c0474e34ae6ff2087ace637092083f3a09c3113c8c46c322a519259694"
+        )
+        assert hashlib.sha256(repr(floats).encode()).hexdigest() == (
+            "1d36a60a99199c523e286c401643814603e0ccc22fd33391aff6f3394c9ad806"
+        )
+
     def test_unknown_names_are_refused(self):
         from octalg.checks import CHECK_NAMES, run_checks
 

@@ -79,11 +79,7 @@ class TestAgainstScalarBackend:
         values = _edge_operands(rng)
         xs, ys = values[:rows], values[-cols:]
         with np.errstate(all="ignore"):
-            out = kernels.pairwise_products(
-                # from_octonions([]) has shape (0,), not (0, 8).
-                kernels.from_octonions(xs).reshape(-1, 8),
-                kernels.from_octonions(ys),
-            )
+            out = kernels.pairwise_products(kernels.from_octonions(xs), kernels.from_octonions(ys))
         assert out.shape == (rows * cols, 8)
         expected = [_hex((x * y).c) for x in xs for y in ys]
         assert [_hex(row) for row in out] == expected
@@ -159,6 +155,13 @@ class TestShapeHandling:
         out = kernels.multiply(ax, ay)
         assert out.shape == (6, 8)
         assert [_hex(row) for row in out] == [_hex((x * y).c) for x in xs]
+
+    def test_no_octonions_make_an_empty_batch(self, rng):
+        _, p = _batch(rng, 3)
+        empty = kernels.from_octonions([])
+        assert empty.shape == (0, 8)
+        assert kernels.pairwise_products(empty, p).shape == (0, 8)
+        assert kernels.multiply(empty, empty).shape == (0, 8)
 
     def test_round_trip_wrappers(self, rng):
         # The order-conversion matrix wraps one array row at a time this way.

@@ -41,6 +41,7 @@ from octalg.checks import CheckReport
 from octalg.textform import format_coefficients, format_scalar
 from octalg.trees import (
     CATALAN,
+    _distinct_products,
     _machine_blocks,
     format_matrix_machine,
     format_matrix_text,
@@ -259,6 +260,11 @@ def _per_tree(factors):
     return [evaluate(t, factors) for t in enumerate_trees(len(factors))]
 
 
+def _per_tree_values(factors):
+    """A stand-in for `_distinct_products` that lists one product per tree."""
+    return _per_tree(factors), None
+
+
 def _hexes(products):
     return [[v.hex() for v in p.c] for p in products]
 
@@ -341,8 +347,72 @@ class TestTreeProducts:
             )
 
         shared = failures()
-        monkeypatch.setattr(checks, "tree_products", _per_tree)
+        monkeypatch.setattr(checks, "_distinct_products", _per_tree_values)
         assert shared == failures() == 196
+
+    def test_two_generator_word_folds_to_one_value(self, rng, count_products):
+        x, y = (random_octonion(rng, nonzero=True) for _ in range(2))
+        factors = expand_word(WORD, x, y)
+        count_products.clear()
+        values, _ = _distinct_products(factors)
+        assert len(values) == 1
+        assert len(count_products) == 84
+        assert values == tree_products(factors)[:1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_distinct_values_in_first_reached_order(self, rng, n):
+        for name, factors in _factor_sets(rng, "float", n).items():
+            values, _ = _distinct_products(factors)
+            products = tree_products(factors)
+            first_reached = list({id(p): p for p in products}.values())
+            assert values == first_reached, name
+
+    def test_exact_biassociativity_makes_no_comparison(self, monkeypatch):
+        calls = []
+        eq = checks._eq
+
+        def counting(*args):
+            calls.append(None)
+            return eq(*args)
+
+        monkeypatch.setattr(checks, "_eq", counting)
+
+        def verdicts():
+            return [
+                checks._check_biassociativity(random.Random(f"{k}:bi"), "exact", 0)
+                for k in range(50)
+            ]
+
+        assert verdicts() == [None] * 50
+        assert calls == []
+        # The counter sees the per-tree comparisons the fold does without.
+        monkeypatch.setattr(checks, "_distinct_products", _per_tree_values)
+        assert verdicts() == [None] * 50
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 0.0])
+    def test_float_verdicts_match_per_tree_comparison(self, monkeypatch, tolerance):
+        def verdicts():
+            return [
+                checks._check_biassociativity(random.Random(f"{k}:bi"), "float", tolerance)
+                for k in range(300)
+            ]
+
+        folded = verdicts()
+        monkeypatch.setattr(checks, "_distinct_products", _per_tree_values)
+        assert folded == verdicts()
+
+    def test_float_biassociativity_fails_on_a_shared_value_that_is_not_finite(
+        self, monkeypatch
+    ):
+        # Both orders of a 3-letter word share one value holding inf: per-tree
+        # comparison fails it, since inf - inf is NaN, and so must the check
+        # on the one distinct value.
+        inf = core._new([math.inf] + [0.0] * 7, None)
+        monkeypatch.setattr(checks, "expand_word", lambda word, x, y: [ONE.as_float()] * 3)
+        for values in ([inf], [inf, inf]):
+            monkeypatch.setattr(checks, "_distinct_products", lambda f, values=values: (values, None))
+            assert checks._check_biassociativity(random.Random("bi"), "float", 1e-12)
 
 
 class TestGeneralizedAssociator:
