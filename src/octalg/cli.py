@@ -248,9 +248,9 @@ def _cmd_orders(args, tolerance) -> int:
     from .trees import (
         _machine_blocks,
         _require_representable,
+        _text_lines,
         _tree_labels,
         associator_matrix,
-        format_matrix_text,
         tree_products,
         verify_matrix,
     )
@@ -281,14 +281,15 @@ def _cmd_orders(args, tolerance) -> int:
         return EXIT_OK
 
     if args.fmt == "machine":
-        # One row per write: the whole text of an 8-factor exact matrix
-        # would be 126 MB, held twice while it is joined.
-        for block in _machine_blocks(matrix):
-            sys.stdout.write(block)
-            sys.stdout.write("\n")
+        lines = _machine_blocks(matrix)
     else:
         print("order-conversion matrix (entry i j converts order i into order j):")
-        print(format_matrix_text(matrix))
+        lines = _text_lines(matrix)
+    # One row per write: an 8-factor exact matrix is 126-133 MB of text,
+    # held twice while it is joined.
+    for block in lines:
+        sys.stdout.write(block)
+        sys.stdout.write("\n")
     diagonal_ok, symmetry_ok = verify_matrix(matrix, tolerance)
     _emit_check_line("diagonal all 1", diagonal_ok, args.fmt)
     _emit_check_line("entry(j,i) = entry(i,j)~", symmetry_ok, args.fmt)

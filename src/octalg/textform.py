@@ -20,7 +20,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
-from .core import DIM, EXACT, FLOAT, Octonion, Scalar
+from .core import DIM, EXACT, FLOAT, Octonion
 from .errors import NonFiniteError, ParseError
 
 WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -167,45 +167,45 @@ def _positional(text: str) -> str:
     return format(Decimal(text), "f") if "e" in text else text
 
 
-def format_scalar(value: Scalar) -> str:
-    """Render one coefficient: ``3``, ``-3/4``, or a float as its shortest
-    round-trip decimal, written positionally (``0.00001``, never ``1e-05``):
-    `_positional` of its ``repr``."""
-    if isinstance(value, float):
-        return _positional(repr(value))
-    return str(value)
+def format_scalar(value: float) -> str:
+    """Render one float coefficient as its shortest round-trip decimal,
+    written positionally (``0.00001``, never ``1e-05``)."""
+    return _positional(repr(value))
+
+
+def coefficient_tokens(x: Octonion) -> list[str]:
+    """The 8 coefficient texts every rendering of ``x`` is written from:
+    ``n`` or ``n/d`` from `Octonion.ratios` on exact, `format_scalar` on float."""
+    if x.backend == FLOAT:
+        return list(map(format_scalar, x.c))
+    return [str(n) if d == 1 else f"{n}/{d}" for n, d in x.ratios()]
 
 
 def format_octonion(x: Octonion) -> str:
-    """Render in the shared text format, e.g. ``2 - 3/4e1 + e7``."""
-    return format_terms(x.c)
-
-
-def format_terms(coefficients) -> str:
-    """The text format of 8 coefficients given as Fractions or plain floats."""
-    parts: list[str] = []
-    for k, v in enumerate(coefficients):
-        if not v:
+    """Render in the shared text format, e.g. ``2 - 3/4e1 + e7``, from the
+    `coefficient_tokens` alone: a zero token is skipped, a leading ``-``
+    becomes the term's sign (unspaced on the first term, where a plus is
+    left out), and a unit's coefficient of magnitude ``1`` is left out."""
+    text = ""
+    for token, unit in zip(coefficient_tokens(x), ("", "e1", "e2", "e3", "e4", "e5", "e6", "e7")):
+        if token in {"0", "0.0", "-0.0"}:
             continue
-        magnitude = abs(v)
-        if k == 0:
-            body = format_scalar(magnitude)
-        elif magnitude == 1:
-            body = f"e{k}"
+        if token[0] == "-":
+            text += " - "
+            token = token[1:]
         else:
-            body = f"{format_scalar(magnitude)}e{k}"
-        if not parts:
-            parts.append(("-" if v < 0 else "") + body)
-        else:
-            parts.append(("- " if v < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+            text += " + "
+        text += unit if unit and token in ("1", "1.0") else token + unit
+    if not text:
+        return "0"
+    if text[1] == "+":
+        return text[3:]
+    return "-" + text[3:]
 
 
 def format_coefficients(x: Octonion) -> str:
     """Machine rendering: the 8 coefficients, comma-separated."""
-    if x.backend == FLOAT:
-        return ",".join(map(format_scalar, x.c))
-    return ",".join(str(n) if d == 1 else f"{n}/{d}" for n, d in x.ratios())
+    return ",".join(coefficient_tokens(x))
 
 
 def format_float_rows(rows) -> list[str]:

@@ -265,10 +265,9 @@ class AssociatorMatrix(_Record):
     1 and entry (j, i) is the conjugate of entry (i, j).
 
     ``flat`` holds the entries row-major, entry (i, j) at index
-    ``i * size + j``: on the float backend a read-only ``(size * size, 8)``
-    float64 array, which verification and formatting read as it is; on the
-    exact backend a list of octonions.  `entry` builds one Octonion on
-    demand.  Equality is identity, since ``flat`` may be an array.
+    ``i * size + j``: on float a read-only ``(size * size, 8)`` float64
+    array, on exact a list of octonions, both read through `_octonions`.
+    Equality is identity, since ``flat`` may be an array.
     """
 
     __slots__ = ("n", "products", "flat")
@@ -288,10 +287,8 @@ class AssociatorMatrix(_Record):
         size = self.size
         if not (0 <= i < size and 0 <= j < size):
             raise IndexError(f"matrix indices must be in 0..{size - 1}, got ({i}, {j})")
-        value = self.flat[i * size + j]
-        if isinstance(value, Octonion):
-            return value
-        return _new(value.tolist(), None)
+        k = i * size + j
+        return _octonions(self, k, k + 1)[0]
 
 
 def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
@@ -354,24 +351,45 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> 
     return diagonal_ok, symmetry_ok
 
 
+def _octonions(matrix: AssociatorMatrix, start: int, stop: int) -> list[Octonion]:
+    """``matrix.flat[start:stop]`` as octonions: the exact list as it is, a
+    float slice wrapped one entry at a time."""
+    entries = matrix.flat[start:stop]
+    if matrix.products[0].backend == EXACT:
+        return entries
+    return [_new(v, None) for v in entries.tolist()]
+
+
+def _row_texts(matrix: AssociatorMatrix, machine: bool):
+    """Each matrix row's cell texts, as `format_coefficients` (``machine``)
+    or `format_octonion` writes them.  A float machine row is one
+    `format_float_rows` pass; every other row renders `_octonions` one
+    entry at a time, so the float text table never loads orjson."""
+    from .textform import format_coefficients, format_float_rows, format_octonion
+
+    size = matrix.size
+    float_rows = machine and matrix.products[0].backend == FLOAT
+    render = format_coefficients if machine else format_octonion
+    for first in range(0, size * size, size):
+        if float_rows:
+            yield format_float_rows(matrix.flat[first:first + size])
+        else:
+            yield list(map(render, _octonions(matrix, first, first + size)))
+
+
 def format_matrix_text(matrix: AssociatorMatrix) -> str:
     """Aligned plain-text table of the matrix entries."""
-    from .textform import format_terms
+    return "\n".join(_text_lines(matrix))
 
-    size, flat = matrix.size, matrix.flat
-    cells = []
-    for i in range(size):
-        row = flat[i * size:(i + 1) * size]
-        # One row at a time: converting a whole float array would hold a
-        # Python float for every coefficient at once.
-        coefficients = [x.c for x in row] if isinstance(row, list) else row.tolist()
-        cells.append([format_terms(values) for values in coefficients])
-    widths = [max(len(cells[i][j]) for i in range(size)) for j in range(size)]
-    lines = []
-    for i, row in enumerate(cells):
-        padded = "   ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip()
-        lines.append(f"[{i + 1}] {padded}")
-    return "\n".join(lines)
+
+def _text_lines(matrix: AssociatorMatrix):
+    """The lines of `format_matrix_text`, for the caller to write one by one:
+    the column widths need every cell, but the table is never joined."""
+    cells = list(_row_texts(matrix, machine=False))
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    for i, row in enumerate(cells, start=1):
+        padded = "   ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        yield f"[{i}] {padded}"
 
 
 def format_matrix_machine(matrix: AssociatorMatrix) -> str:
@@ -383,16 +401,9 @@ def _machine_blocks(matrix: AssociatorMatrix):
     """The lines of `format_matrix_machine`, one block per matrix row: row
     i's lines joined by newlines, with no trailing newline.  The caller
     writes each block as it comes, so no more than one row's text is held."""
-    from .textform import format_coefficients, format_float_rows
-
-    size, flat = matrix.size, matrix.flat
-    # Every row's lines come from one % call over a template built once per
-    # matrix.  Only the row's coefficient texts differ by backend: an exact
-    # row renders entry by entry, a float row in one `format_float_rows`
-    # call (one C pass over the row's C-contiguous slice).
+    size = matrix.size
+    # Each row's lines are one % call over a template built once.
     cells = ["\t%d\t%%s" % j for j in range(1, size + 1)]
-    for i in range(1, size + 1):
-        row = flat[(i - 1) * size:i * size]
-        texts = map(format_coefficients, row) if isinstance(row, list) else format_float_rows(row)
+    for i, texts in enumerate(_row_texts(matrix, machine=True), start=1):
         prefix = str(i)
         yield (prefix + ("\n" + prefix).join(cells)) % tuple(texts)

@@ -4,6 +4,7 @@ import hashlib
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -279,9 +280,10 @@ class TestAssociator:
 
 
 # Six factors for the `orders --matrix` tests, the first n taken for n
-# factors, and the verdict lines that end the machine format.
+# factors, and the verdict lines that end the machine and text formats.
 MATRIX_FACTORS = ("1 + e1", "2 - e2", "e4 + 1/3e7", "3e5 - e6", "1/2 + e3", "-1 + 5/7e2 + e5")
 MACHINE_VERDICTS = "verify:diagonalall1\tOK\nverify:entry(j,i)=entry(i,j)~\tOK\n"
+TEXT_VERDICTS = "diagonal all 1: OK\nentry(j,i) = entry(i,j)~: OK\n"
 
 
 class TestOrders:
@@ -345,6 +347,82 @@ class TestOrders:
         assert len(stdout.writes) >= len(blocks)
         assert max(map(len, stdout.writes)) <= max(map(len, blocks))
         assert "".join(stdout.writes).endswith("\n".join(blocks) + "\n" + MACHINE_VERDICTS)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_text_matrix_is_written_one_line_at_a_time(self, monkeypatch, backend):
+        from octalg.textform import parse_octonion
+        from octalg.trees import associator_matrix, format_matrix_text
+
+        class Recording:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        stdout = Recording()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        texts = MATRIX_FACTORS[:5]
+        code = main(["orders", *texts, "--matrix", "--backend", backend])
+        assert code == 0
+        table = format_matrix_text(associator_matrix([parse_octonion(t, backend) for t in texts]))
+        lines = table.split("\n")
+        assert len(lines) == 14
+        # No write holds more than one table line, or more than one newline.
+        assert max(map(len, stdout.writes)) <= max(map(len, lines))
+        assert all(text.count("\n") <= 1 for text in stdout.writes)
+        assert "".join(stdout.writes).endswith(table + "\n" + TEXT_VERDICTS)
+
+    @pytest.fixture
+    def fraction_calls(self, monkeypatch):
+        """A list that records the arguments of every `Fraction` built while
+        it is in use."""
+        calls = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("orders", *MATRIX_FACTORS[:5], "--matrix"),
+            ("orders", *MATRIX_FACTORS),
+            ("eval", "(1/2 - 3/4e1 + e5)*(2/3e2 - e7)"),
+        ],
+        ids=["text-matrix", "listing", "eval"],
+    )
+    def test_exact_text_output_builds_no_fraction_but_parsing(self, capsys, fraction_calls, argv):
+        from octalg.exprs import parse_with_info
+        from octalg.textform import parse_octonion
+
+        if argv[0] == "eval":
+            parse_with_info(argv[1], "exact")
+        else:
+            for text in argv[1:]:
+                if text != "--matrix":
+                    parse_octonion(text)
+        parsed = len(fraction_calls)
+        assert parsed > 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+        assert len(fraction_calls) == 2 * parsed
+
+    def test_exact_rendering_builds_no_fraction(self, fraction_calls):
+        from octalg.textform import format_coefficients, format_octonion, parse_octonion
+        from octalg.trees import associator_matrix, format_matrix_text, tree_products
+
+        factors = [parse_octonion(text) for text in MATRIX_FACTORS[:5]]
+        matrix = associator_matrix(factors)
+        products = tree_products(factors)
+        del fraction_calls[:]
+        assert format_matrix_text(matrix)
+        assert [format_octonion(p) + format_coefficients(p) for p in products]
+        assert fraction_calls == []
 
     @pytest.fixture
     def product_calls(self, monkeypatch):

@@ -131,6 +131,54 @@ class TestParse:
             pass
 
 
+def _reference_text(x: Octonion) -> str:
+    """The text format written from the coefficient values, not from their
+    tokens: an oracle for `format_octonion`."""
+    terms = []
+    for k, v in enumerate(x.c):
+        if not v:
+            continue
+        magnitude = abs(v)
+        number = format_scalar(magnitude) if isinstance(v, float) else str(magnitude)
+        body = number if k == 0 else f"e{k}" if magnitude == 1 else f"{number}e{k}"
+        if not terms:
+            terms.append(("-" if v < 0 else "") + body)
+        else:
+            terms.append(("- " if v < 0 else "+ ") + body)
+    return " ".join(terms) if terms else "0"
+
+
+# Coefficients at the edges of the token rule: zeros of each sign, unit
+# magnitudes, magnitudes below 1e-5 and at or above 1e16, and (float only,
+# through core._new) the non-finite values.
+_EXACT_COEFFICIENTS = st.sampled_from(
+    [0, 1, -1, 2, Fraction(1, 10**6), Fraction(-7, 3 * 10**5), 10**16, -(10**20) - 1]
+).map(Fraction) | st.fractions()
+_TOKEN_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 1.0, -1.0, 2.0, 1e-6, -5e-324, 9.5e-6, 1e16, -1.5e16, 1e300,
+    float("nan"), float("inf"), float("-inf"),
+])
+_VALUES = (
+    st.lists(_EXACT_COEFFICIENTS, min_size=8, max_size=8).map(Octonion)
+    | st.lists(_TOKEN_EDGE_FLOATS | st.floats(), min_size=8, max_size=8).map(
+        lambda values: _new(values, None)
+    )
+)
+
+
+class TestTokenRule:
+    @given(_VALUES)
+    @example(_new([-0.0, 1.0, -1.0, -0.0, 1e-6, 1e16, float("nan"), float("-inf")], None))
+    @example(Octonion([0, 1, -1, 0, Fraction(1, 10**6), 10**16, -1, Fraction(-1, 2)]))
+    def test_text_from_tokens_matches_the_values(self, x):
+        assert format_octonion(x) == _reference_text(x)
+
+    def test_signed_zero_and_unit_tokens(self):
+        x = _new([-0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, -0.0], None)
+        assert format_octonion(x) == "-e1 + e3"
+        assert format_octonion(_new([-1.0] + [0.0] * 7, None)) == "-1.0"
+
+
 class TestRender:
     def test_spec_shape(self):
         x = Octonion([2, Fraction(-3, 4), 0, 0, 0, 0, 0, 1])
@@ -183,7 +231,7 @@ class TestRender:
     @given(octonions, octonions)
     def test_exact_machine_rendering_matches_fractions(self, x, y):
         for value in (x, x * y, x - y * Fraction(5, 3)):
-            expected = ",".join(format_scalar(v) for v in value.c)
+            expected = ",".join(map(str, value.c))
             assert format_coefficients(value) == expected
 
 

@@ -6,6 +6,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from octalg.brackets import expand_word
 from octalg.sampling import random_octonion, random_scalar
 from octalg.core import DEFAULT_FLOAT_TOLERANCE
 from octalg.checks import CheckReport
-from octalg.textform import format_coefficients, format_scalar
+from octalg.textform import format_coefficients, format_scalar, parse_octonion
 from octalg.trees import (
     CATALAN,
     _distinct_products,
@@ -803,3 +804,22 @@ class TestRendering:
         m = associator_matrix([unit(1), unit(2), unit(4)])
         text = format_matrix_text(m)
         assert "[1]" in text and "-1" in text
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_text_cells_reparse_to_their_entries(self, backend):
+        gen = random.Random("text-cells-5")
+        m = associator_matrix([random_octonion(gen, backend, nonzero=True) for _ in range(5)])
+        lines = format_matrix_text(m).split("\n")
+        assert len(lines) == m.size
+        for i, line in enumerate(lines):
+            prefix = f"[{i + 1}] "
+            assert line.startswith(prefix)
+            # Cells are padded and joined by three spaces; a cell holds single spaces only.
+            cells = re.split(" {3,}", line[len(prefix):])
+            assert len(cells) == m.size
+            for j, cell in enumerate(cells):
+                parsed, entry = parse_octonion(cell, backend), m.entry(i, j)
+                if backend == "exact":
+                    assert parsed == entry
+                else:
+                    assert [v.hex() for v in parsed.c] == [v.hex() for v in entry.c]
