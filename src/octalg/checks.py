@@ -6,6 +6,14 @@ the comparison tolerance is scaled by the magnitude of the values being
 compared, because intermediate products of several octonions grow well
 beyond the input coefficients and carry proportional roundoff.
 
+Each identity makes each of its own sides once in a case: ``x*y`` and
+``y*x`` for both commutator conversions, ``x*x`` for both alternative laws,
+``x*y`` for the associating triple of bracket duality.  No identity reuses a
+product made inside a bracket function, so a bracket that built it wrong
+cannot pass by sharing it.  The four-variable associator identity makes its
+shared subproducts once inside `schafer_residual`, and its float check
+scales by the two sides that residual is the difference of.
+
 Bi-associativity compares each distinct product of a word, over all of
 its evaluation orders, once: not one product per order.
 
@@ -18,7 +26,7 @@ from __future__ import annotations
 import random
 
 from .brackets import (
-    additive_associator,
+    _schafer_sides,
     additive_commutator,
     expand_word,
     multiplicative_associator,
@@ -91,9 +99,10 @@ def _check_associator_forms(rng, backend, tol):
 def _check_commutator_conversion(rng, backend, tol):
     x, y = (random_octonion(rng, backend, nonzero=True) for _ in range(2))
     c = multiplicative_commutator(x, y)
-    if not _eq((x * y) * c, y * x, tol):
+    xy, yx = x * y, y * x
+    if not _eq(xy * c, yx, tol):
         return f"(x*y)*c != y*x for x={x}, y={y}"
-    if not _eq(x * y, (y * x) * c.conjugate(), tol):
+    if not _eq(xy, yx * c.conjugate(), tol):
         return f"x*y != (y*x)*c~ for x={x}, y={y}"
     return None
 
@@ -112,13 +121,14 @@ def _check_unit_norm(rng, backend, tol):
 
 def _check_schafer(rng, backend, tol):
     a, x, y, z = (random_octonion(rng, backend) for _ in range(4))
-    residual = schafer_residual(a, x, y, z)
     zero = Octonion.zero(backend)
     if backend == EXACT:
+        residual = schafer_residual(a, x, y, z)
         ok = residual == zero
     else:
         # Scale against the identity's two sides, not the near-zero residual.
-        lhs = a * additive_associator(x, y, z) + additive_associator(a, x, y) * z
+        lhs, rhs = _schafer_sides(a, x, y, z)
+        residual = lhs - rhs
         ok = _eq(residual, zero, tol, lhs, lhs - residual)
     if not ok:
         return f"schafer residual {residual} != 0 for a={a}, x={x}, y={y}, z={z}"
@@ -154,9 +164,10 @@ def _check_norm_multiplicativity(rng, backend, tol):
 
 def _check_alternative_laws(rng, backend, tol):
     x, y = (random_octonion(rng, backend) for _ in range(2))
-    if not _eq(x * (x * y), (x * x) * y, tol):
+    xx = x * x
+    if not _eq(x * (x * y), xx * y, tol):
         return f"x*(x*y) != (x*x)*y for x={x}, y={y}"
-    if not _eq((y * x) * x, y * (x * x), tol):
+    if not _eq((y * x) * x, y * xx, tol):
         return f"(y*x)*x != y*(x*x) for x={x}, y={y}"
     return None
 
@@ -177,10 +188,11 @@ def _check_bracket_duality(rng, backend, tol):
     if _eq(add, zero, tol) != _eq(mul, one, tol):
         return f"commutator duality broken for x={x}, y={y}"
     # z in the subalgebra generated by x and y makes the triple associate.
-    z = (x * y) * x
+    xy = x * y
+    z = xy * x
     if not z:
         return None
-    if not _eq(x * (y * z), (x * y) * z, tol):
+    if not _eq(x * (y * z), xy * z, tol):
         return f"expected associating triple, x={x}, y={y}"
     if not _eq(multiplicative_associator(x, y, z), one, tol):
         return f"multiplicative associator not 1 on associating triple, x={x}, y={y}"

@@ -27,6 +27,7 @@ underflowed to 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -227,8 +228,9 @@ def _cmd_associator(args, tolerance) -> int:
         return EXIT_OK
     a = multiplicative_associator(x, y, z)
     _emit_value(a, args.fmt)
-    forward = _eq(((x * y) * z) * a, x * (y * z), tolerance)
-    backward = _eq((x * y) * z, (x * (y * z)) * a.conjugate(), tolerance)
+    left, right = (x * y) * z, x * (y * z)
+    forward = _eq(left * a, right, tolerance)
+    backward = _eq(left, right * a.conjugate(), tolerance)
     _emit_check_line("((x*y)*z)*a = x*(y*z)", forward, args.fmt)
     _emit_check_line("(x*y)*z = (x*(y*z))*a~", backward, args.fmt)
     return EXIT_OK if forward and backward else EXIT_CHECK
@@ -340,10 +342,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One per process: `parse_args` leaves a parser as it found it, so the
+    # `main` calls of one process can share it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

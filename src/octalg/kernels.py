@@ -105,10 +105,15 @@ def conversion_verdicts(entries: np.ndarray, size: int, tolerance: float) -> tup
     ``|M[i,i] - 1| <= tolerance`` and every ``|M[j,i] - conj(M[i,j])| <=
     tolerance``: `Octonion.equals`' rule at scale 1, the scale of entries of
     unit norm, so the verdicts agree with it and a NaN or inf difference fails.
+    The symmetry difference is formed in place, in one temporary the size of M.
     """
     m = _as_batch(entries).reshape(size, size, 8)
     diagonal = m[np.arange(size), np.arange(size)]
     diagonal_ok = bool(np.all(np.abs(diagonal - _ONE) <= tolerance))
     transposed = m.transpose(1, 0, 2)  # transposed[i, j] is M[j, i]
-    symmetry_ok = bool(np.all(np.abs(transposed - m * _CONJUGATE_SIGN) <= tolerance))
+    difference = np.multiply(m, _CONJUGATE_SIGN)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN, and fails
+        np.subtract(transposed, difference, out=difference)
+    np.abs(difference, out=difference)
+    symmetry_ok = bool(np.all(difference <= tolerance))
     return diagonal_ok, symmetry_ok

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and small helpers."""
 
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -15,6 +16,11 @@ coefficients = st.integers(1, 9).flatmap(
 octonions = st.tuples(*[coefficients] * 8).map(Octonion)
 
 nonzero_octonions = octonions.filter(bool)
+
+# Float operands whose products stay finite, and those that overflow.
+float_octonions = st.tuples(
+    *[st.floats(allow_nan=False, allow_infinity=False, width=64)] * 8
+).map(Octonion)
 
 backends = st.sampled_from(["exact", "float"])
 
@@ -32,3 +38,19 @@ def perturbed(m: AssociatorMatrix, i: int, j: int, k: int, delta: float) -> Asso
     flat = m.flat.copy()
     flat[i * m.size + j, k] += delta
     return AssociatorMatrix(n=m.n, products=m.products, flat=flat)
+
+
+def float_edge_operands() -> list[Octonion]:
+    """Signed zeros, subnormals, +-1e154 (products near the overflow
+    threshold), an operand holding inf and NaN from overflow times e1, and
+    full-precision values whose sums round differently in another order."""
+    big = Octonion([1e200] + [0.0] * 7)
+    rng = random.Random("generated-product")
+    return [
+        Octonion([0.0, -0.0, 1.0, -1.0, 0.0, 2.5, -0.0, 0.0]),
+        Octonion([-0.0] * 8),
+        Octonion([5e-324, -1e-310, 1e-300, 0.0, -2.2e-308, 1.0, -0.0, 3e-320]),
+        Octonion([1e154, -1e154, 0.0, 1e154, -0.0, 1.0, 1e154, -1e154]),
+        Octonion([-1e154, 1e154, 1e154, -1e154, 1e154, 0.0, -1e154, 1e154]),
+        (big * big) * Octonion.unit(1, "float"),
+    ] + [Octonion([rng.uniform(-9.0, 9.0) for _ in range(8)]) for _ in range(5)]

@@ -1,5 +1,6 @@
 """The four bracket constructions and the identities they satisfy."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,13 @@ from octalg import (
     tree_products,
 )
 
-from tests.strategies import nonzero_octonions, octonions, unit
+from tests.strategies import (
+    float_edge_operands,
+    float_octonions,
+    nonzero_octonions,
+    octonions,
+    unit,
+)
 
 ZERO = Octonion.zero()
 ONE = Octonion.one()
@@ -167,6 +174,40 @@ class TestSchaferResidual:
     def test_always_zero(self, a, x, y, z):
         assert schafer_residual(a, x, y, z) == ZERO
 
+    def test_makes_each_shared_subproduct_once(self, count_products):
+        a, x, y, z = (Octonion.parse(t) for t in ("1/2 + e1", "e2 - 3e5", "2e4 + e6", "e7 - 1"))
+        schafer_residual(a, x, y, z)
+        assert len(count_products) == 14
+
+    @staticmethod
+    def _five_associators(a, x, y, z):
+        # One `additive_associator` per bracket: the reference the shared
+        # subproducts must reproduce bit for bit.
+        lhs = a * additive_associator(x, y, z) + additive_associator(a, x, y) * z
+        rhs = (
+            additive_associator(a * x, y, z)
+            - additive_associator(a, x * y, z)
+            + additive_associator(a, x, y * z)
+        )
+        return lhs - rhs
+
+    @given(float_octonions, float_octonions, float_octonions, float_octonions)
+    def test_float_matches_five_associators_bitwise(self, a, x, y, z):
+        assert _hex(schafer_residual(a, x, y, z)) == _hex(self._five_associators(a, x, y, z))
+
+    def test_float_edge_operands_match_five_associators_bitwise(self):
+        # Signed zeros, subnormals, products near overflow, and inf and NaN
+        # from overflow, in every slot.
+        for a, x, y, z in itertools.product(float_edge_operands(), repeat=4):
+            assert _hex(schafer_residual(a, x, y, z)) == _hex(
+                self._five_associators(a, x, y, z)
+            ), (a, x, y, z)
+
+
+def _hex(value):
+    """Bit patterns of the coefficients: tells -0.0 from 0.0."""
+    return [float.hex(v) for v in value.c]
+
 
 def all_orders_agree(x, y, word, tolerance=0) -> bool:
     """Whether the word's product is the same under every evaluation order."""
@@ -196,6 +237,44 @@ class TestBiassociativity:
     def test_inverse_of_zero_generator(self):
         with pytest.raises(ZeroInverseError):
             expand_word(["x", "x^-1"], ZERO, ONE)
+
+    def test_unknown_symbol_is_refused_where_it_stands(self):
+        # Symbols are read in order: the bad one is named before a later
+        # inverse of zero is tried, and after an earlier one.
+        with pytest.raises(InvalidWordError, match="'z'"):
+            expand_word(["x", "z", "x^-1"], ZERO, ONE)
+        with pytest.raises(ZeroInverseError):
+            expand_word(["x^-1", "z"], ZERO, ONE)
+
+    @pytest.mark.parametrize("symbol", [["x"], {"x": 1}, {"y"}, None, b"x"])
+    def test_unhashable_or_foreign_symbol_is_refused(self, symbol):
+        with pytest.raises(InvalidWordError, match="unknown word symbol"):
+            expand_word(["x", symbol], ONE, ONE)
+
+    def test_each_symbol_value_is_made_once(self, monkeypatch):
+        made = []
+        for method in ("inverse", "conjugate"):
+            original = getattr(Octonion, method)
+
+            def counting(self, original=original, method=method):
+                made.append(method)
+                return original(self)
+
+            monkeypatch.setattr(Octonion, method, counting)
+        x, y = Octonion.parse("1 + e1 - e4"), Octonion.parse("2 - e2")
+        expand_word(["x^-1", "x~", "y^-1"], x, y)
+        once = sorted(made)
+        made.clear()
+        word = ["x^-1", "x~", "y", "x^-1", 2, "x~", "x^-1", "y^-1", "y"]
+        values = expand_word(word, x, y)
+        assert sorted(made) == once
+        assert values[0] is values[3] is values[6]
+        assert values[1] is values[5]
+        assert values[2] is values[8] is y
+        assert values == [
+            x.inverse(), x.conjugate(), y, x.inverse(), Octonion.from_real(2),
+            x.conjugate(), x.inverse(), y.inverse(), y,
+        ]
 
     def test_float_backend_with_tolerance(self):
         x = Octonion.parse("1 + e1 - 2e4", backend="float")

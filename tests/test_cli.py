@@ -680,6 +680,40 @@ class TestCheckReport:
             run_checks(cases=cases, backend=backend)
 
 
+class TestCheckProductCounts:
+    """Each identity makes each of its own sides once; a product made inside
+    a bracket function is never reused, so a wrong bracket cannot pass."""
+
+    @pytest.mark.parametrize(
+        "name, products",
+        [
+            ("product-conversion", 10),
+            ("conjugate-conversion", 10),
+            ("inverse-of-product", 4),
+            ("associator-forms", 10),
+            ("commutator-conversion", 7),
+            ("unit-norm", 8),
+            ("schafer-identity", 14),
+            ("bi-associativity", 56),
+            ("norm-multiplicativity", 1),
+            ("alternative-laws", 7),
+            ("moufang", 6),
+            ("bracket-duality", 15),
+        ],
+    )
+    def test_exact_case_products_are_pinned(self, count_products, name, products):
+        from octalg.checks import run_checks
+
+        run_checks(cases=1, seed=7, names=[name])
+        assert len(count_products) == products
+
+    def test_float_schafer_case_reuses_the_residuals_sides(self, count_products):
+        from octalg.checks import run_checks
+
+        run_checks(cases=1, seed=7, backend="float", names=["schafer-identity"])
+        assert len(count_products) == 14
+
+
 class TestCheck:
     def test_exact_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--cases", "10", "--seed", "7")
@@ -806,6 +840,51 @@ class TestGlobalFlags:
         code = main(["commutator", "e1"])
         capsys.readouterr()
         assert code == 1
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; `build_parser` makes a new one."""
+
+    def test_build_parser_is_fresh_and_main_reuses_one(self):
+        from octalg import cli
+
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_a_let_binding_does_not_reach_the_next_call(self, capsys):
+        from octalg import cli
+
+        assert run_cli(capsys, "eval", "x*2", "--let", "x=e1") == (0, "2e1\n", "")
+        code, out, err = run_cli(capsys, "eval", "x*2")
+        assert (code, out) == (2, "")
+        assert "'x'" in err
+        assert cli._parser().parse_args(["eval", "x"]).let == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["eval", "--help"],
+            ["orders", "--help"],
+            [],
+            ["frobnicate"],
+            ["commutator", "e1"],
+            ["associator", "e1", "e2", "e4", "--additive", "--multiplicative"],
+            ["check", "--cases", "many"],
+            ["eval", "e1", "--backend", "rational"],
+        ],
+    )
+    def test_usage_and_help_match_a_fresh_parser(self, capsys, argv):
+        from octalg.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        fresh = (int(info.value.code or 0), captured.out, captured.err)
+        assert fresh[1] or fresh[2]
+        # Twice: the first call may be the one that builds the shared parser.
+        assert run_cli(capsys, *argv) == fresh
+        assert run_cli(capsys, *argv) == fresh
 
 
 # Run in a fresh interpreter, since this test session has imported every

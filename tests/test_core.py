@@ -31,7 +31,13 @@ from octalg import (
     structure_table,
 )
 
-from tests.strategies import coefficients, nonzero_octonions, octonions, unit
+from tests.strategies import (
+    coefficients,
+    float_edge_operands,
+    nonzero_octonions,
+    octonions,
+    unit,
+)
 
 # Products e_i * e_j for 1 <= i < j <= 7, expanded by hand from the doubling
 # rule (a,b)(c,d) = (ac - conj(d) b, da + b conj(c)) with e1..e3 the embedded
@@ -133,24 +139,8 @@ def _hex(values):
     return [float.hex(float(v)) for v in values]
 
 
-def _float_edge_operands():
-    """Signed zeros, subnormals, +-1e154 (products near the overflow
-    threshold), an operand holding inf and NaN from overflow times e1, and
-    full-precision values whose sums round differently in another order."""
-    big = Octonion([1e200] + [0.0] * 7)
-    rng = random.Random("generated-product")
-    return [
-        Octonion([0.0, -0.0, 1.0, -1.0, 0.0, 2.5, -0.0, 0.0]),
-        Octonion([-0.0] * 8),
-        Octonion([5e-324, -1e-310, 1e-300, 0.0, -2.2e-308, 1.0, -0.0, 3e-320]),
-        Octonion([1e154, -1e154, 0.0, 1e154, -0.0, 1.0, 1e154, -1e154]),
-        Octonion([-1e154, 1e154, 1e154, -1e154, 1e154, 0.0, -1e154, 1e154]),
-        (big * big) * Octonion.unit(1, "float"),
-    ] + [Octonion([rng.uniform(-9.0, 9.0) for _ in range(8)]) for _ in range(5)]
-
-
 def _edge_pairs():
-    values = _float_edge_operands()
+    values = float_edge_operands()
     return [(x, y) for x in values for y in values]
 
 

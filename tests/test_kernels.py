@@ -1,6 +1,7 @@
 """Batched float kernels: bitwise parity with the scalar float backend,
 and the module boundary that keeps numpy off the exact paths."""
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -97,6 +98,38 @@ class TestAgainstScalarBackend:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * out.nbytes, peak / out.nbytes
+
+    def test_conversion_verdicts_peak_memory(self):
+        # The symmetry difference is formed in place: the peak is one
+        # temporary the size of the matrix and its boolean mask, not the two
+        # full-size temporaries an expression holds at once.
+        size = 132
+        entries = np.random.default_rng(132).standard_normal((size * size, 8))
+        tracemalloc.start()
+        try:
+            kernels.conversion_verdicts(entries, size, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * entries.nbytes, peak / entries.nbytes
+
+    @pytest.mark.parametrize(
+        "i, j, k, value, verdicts",
+        [
+            (1, 2, 3, math.nan, (True, False)),
+            (1, 2, 3, math.inf, (True, False)),
+            (1, 1, 0, math.inf, (False, False)),
+            (1, 1, 4, -math.inf, (False, False)),
+            (2, 2, 0, math.nan, (False, False)),
+        ],
+    )
+    def test_conversion_verdicts_fail_a_value_that_is_not_finite(self, i, j, k, value, verdicts):
+        size = 3
+        m = np.zeros((size, size, 8))
+        m[np.arange(size), np.arange(size), 0] = 1.0
+        assert kernels.conversion_verdicts(m.reshape(-1, 8), size, 1e-12) == (True, True)
+        m[i, j, k] = value
+        assert kernels.conversion_verdicts(m.reshape(-1, 8), size, 1e-12) == verdicts
 
     def test_conjugate_and_norm(self, rng):
         xs, ax = _batch(rng, 32)

@@ -270,20 +270,6 @@ def _hexes(products):
     return [[v.hex() for v in p.c] for p in products]
 
 
-@pytest.fixture
-def count_products(monkeypatch):
-    """A list whose length is the number of octonion products run so far."""
-    calls = []
-    product = core._product
-
-    def counting(a, b, z):
-        calls.append(None)
-        return product(a, b, z)
-
-    monkeypatch.setattr(core, "_product", counting)
-    return calls
-
-
 class TestTreeProducts:
     """`tree_products` multiplies each distinct pair of sub-span values once."""
 
