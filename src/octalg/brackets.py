@@ -75,6 +75,11 @@ def schafer_residual(a: Octonion, x: Octonion, y: Octonion, z: Octonion) -> Octo
     with [.,.,.] the additive associator.  Always returns zero; the
     function exists so the identity is a first-class, fuzzable check.
 
+    This is Teichmüller's identity, which holds in every nonassociative
+    algebra: any bilinear product satisfies it, whatever its table.  So it
+    catches faults in ``+``, ``-``, the additive associator and float
+    rounding, but not in the multiplication table.
+
     The eight subproducts the five associators share (``a*x``, ``x*y``,
     ``y*z``, ``(x*y)*z``, ``x*(y*z)``, ``(a*x)*y``, ``a*(x*y)`` and
     ``(a*x)*(y*z)``) are made once, so a case costs 14 products, not 25.

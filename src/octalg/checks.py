@@ -12,7 +12,10 @@ Each identity makes each of its own sides once in a case: ``x*y`` and
 product made inside a bracket function, so a bracket that built it wrong
 cannot pass by sharing it.  The four-variable associator identity makes its
 shared subproducts once inside `schafer_residual`, and its float check
-scales by the two sides that residual is the difference of.
+scales by the two sides that residual is the difference of.  That identity
+(``schafer-identity``) is Teichmüller's: it holds for every bilinear
+product, so it tests ``+``, ``-``, the additive associator and float
+rounding, never the multiplication table, which the other identities test.
 
 Bi-associativity compares each distinct product of a word, over all of
 its evaluation orders, once: not one product per order.

@@ -20,8 +20,8 @@ Exit codes: 0 success, 1 usage or syntax error, 2 evaluation error (zero
 inverse, unbound variable, a float literal, result, product or squared
 norm beyond the binary64 range), 3 identity-check failure, which the exact
 backend should never produce.  A float result is never printed with a
-coefficient that is not finite, nor a product of nonzero factors that
-underflowed to 0.
+coefficient that is not finite.  ``orders`` refuses a product of nonzero
+factors that underflowed to 0; ``eval`` prints such a product as 0.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from typing import Union
 
 from .core import EXACT, Octonion, _Record, _postorder
 from .errors import ParseError, ReservedIdentifierError, UnboundVariableError
-from .textform import UNIT_NAMES, WORD_RE, format_octonion, scan_octonion
+from .textform import UNIT_NAMES, WORD_RE, _scan_word, _skip_ws, format_octonion, scan_octonion
 
 
 class Literal(_Record):
@@ -113,14 +113,17 @@ class _Token(_Record):
 
 
 def _tokenize(source: str, backend: str) -> list[_Token]:
+    """The tokens of ``source``, ending with an END token.
+
+    A literal starts at a sign, a digit or a unit name, and `scan_octonion`
+    alone decides where it ends; any other word is an identifier.
+    """
     tokens = []
     i = 0
-    n = len(source)
     while True:
-        while i < n and source[i].isspace():
-            i += 1
-        if i >= n:
-            tokens.append(_Token("END", n))
+        i = _skip_ws(source, i)
+        if i == len(source):
+            tokens.append(_Token("END", i))
             return tokens
         ch = source[i]
         if ch in _SIMPLE_TOKENS:
@@ -133,23 +136,16 @@ def _tokenize(source: str, backend: str) -> list[_Token]:
             tokens.append(_Token("INV", i, "^-1"))
             i += 3
             continue
-        if ch in "+-" or ch.isdigit():
+        word = _scan_word(source, i)
+        if ch in "+-" or ch.isdigit() or word in UNIT_NAMES:
             value, end = scan_octonion(source, i, backend)
             tokens.append(_Token("LITERAL", i, source[i:end], value))
-            i = end
-            continue
-        word = WORD_RE.match(source, i)
-        if word:
-            name = word.group(0)
-            if name in UNIT_NAMES:
-                value, end = scan_octonion(source, i, backend)
-                tokens.append(_Token("LITERAL", i, source[i:end], value))
-                i = end
-            else:
-                tokens.append(_Token("IDENT", i, name))
-                i = word.end()
-            continue
-        raise ParseError(i, ("literal", "identifier", "'('"), ch)
+        elif word:
+            end = i + len(word)
+            tokens.append(_Token("IDENT", i, word))
+        else:
+            raise ParseError(i, ("literal", "identifier", "'('"), ch)
+        i = end
 
 
 # -- parser ----------------------------------------------------------------

@@ -4,7 +4,7 @@ An octonion is written as a signed sum of terms, one term per basis unit::
 
     2 - 3/4e1 + e7
 
-Coefficients are decimal integers, fractions ``p/q``, or (float backend
+A sign must be followed by a term.  Coefficients are decimal integers, fractions ``p/q``, or (float backend
 only) plain decimal floats.  On the float backend every coefficient, and
 every sum of terms on one unit, must be finite in binary64; anything
 larger raises NonFiniteError.  The real unit is a bare coefficient; ``e1``
@@ -92,49 +92,37 @@ def _scan_number(text: str, i: int, backend: str):
 def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion, int]:
     """Greedily scan one octonion literal starting at ``start``.
 
-    Consumes as many signed terms as parse; stops before a sign that is not
-    followed by a term.  Returns the value and the end position.
+    Reads signed terms while a sign follows the last one; a term is a
+    number with an optional unit after it, or a lone unit.  A term missing
+    where the literal starts or after a sign is a ParseError at the offset
+    where it should start, raised after the float sum check.  Returns the
+    value and the end of the last term.
     """
     one = 1.0 if backend == FLOAT else Fraction(1)
     zero = 0.0 if backend == FLOAT else Fraction(0)
     coeffs = [zero] * DIM
-    i = _skip_ws(text, start)
-    seen_term = False
+    i = start
+    missing = None
     while True:
-        mark = i
         j = _skip_ws(text, i)
         negative = False
         if j < len(text) and text[j] in "+-":
             negative = text[j] == "-"
             j = _skip_ws(text, j + 1)
-        elif seen_term:
+        elif i != start:  # a term was read and no sign follows it
             break
-
         number = _scan_number(text, j, backend)
-        if number is not None:
-            value, j = number
-            k = _skip_ws(text, j)
-            word = _scan_word(text, k)
-            if word in UNIT_NAMES:
-                coeffs[UNIT_NAMES[word]] += -value if negative else value
-                i = k + len(word)
-            else:
-                coeffs[0] += -value if negative else value
-                i = j
-            seen_term = True
-            continue
-
-        word = _scan_word(text, j)
+        value, end = (one, j) if number is None else number
+        k = _skip_ws(text, end)
+        word = _scan_word(text, k)
         if word in UNIT_NAMES:
-            coeffs[UNIT_NAMES[word]] += -one if negative else one
-            i = j + len(word)
-            seen_term = True
-            continue
-
-        if not seen_term:
-            raise ParseError(j, ("number", "unit e0..e7"), text[j : j + 1])
-        i = mark  # the sign belongs to whatever follows the literal
-        break
+            unit, i = UNIT_NAMES[word], k + len(word)
+        elif number is not None:
+            unit, i = 0, end
+        else:
+            missing = j
+            break
+        coeffs[unit] += -value if negative else value
     if backend == FLOAT:
         for k, v in enumerate(coeffs):
             if not math.isfinite(v):
@@ -142,6 +130,8 @@ def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion
                     f"the e{k} coefficient of the literal at offset {start} "
                     "sums beyond the binary64 range"
                 )
+    if missing is not None:
+        raise ParseError(missing, ("number", "unit e0..e7"), text[missing : missing + 1])
     return Octonion(coeffs), i
 
 
@@ -150,12 +140,6 @@ def parse_octonion(text: str, backend: str = EXACT) -> Octonion:
     value, end = scan_octonion(text, 0, backend)
     end = _skip_ws(text, end)
     if end != len(text):
-        if text[end] in "+-":
-            # A sign the greedy scan gave back: no term followed it.
-            term_at = _skip_ws(text, end + 1)
-            raise ParseError(
-                term_at, ("number", "unit e0..e7"), text[term_at : term_at + 1]
-            )
         raise ParseError(end, ("'+'", "'-'", "end of input"), text[end : end + 1])
     return value
 

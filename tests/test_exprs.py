@@ -12,6 +12,7 @@ from hypothesis import given
 
 from octalg import (
     Environment,
+    NonFiniteError,
     Octonion,
     ParseError,
     ReservedIdentifierError,
@@ -19,6 +20,7 @@ from octalg import (
     ZeroInverseError,
     eval_expr,
     parse,
+    parse_octonion,
     parse_with_info,
     render_expr,
 )
@@ -26,7 +28,16 @@ from octalg.core import EXACT
 from octalg.exprs import MAX_DEPTH, Conj, Inv, Literal, Product, Var, _Token, _tokenize
 from octalg.trees import Leaf
 
-from tests.strategies import backends, octonions, source_text, unit
+from tests.strategies import (
+    LITERAL_ERROR_IDS,
+    LITERAL_ERRORS,
+    assert_outcome,
+    backends,
+    literal_text,
+    octonions,
+    source_text,
+    unit,
+)
 
 
 class TestParse:
@@ -104,6 +115,28 @@ class TestParse:
             parse(text, backend)
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("text, backend, literal, outcome", LITERAL_ERRORS, ids=LITERAL_ERROR_IDS)
+    def test_error_table(self, text, backend, literal, outcome):
+        assert_outcome(parse, text, backend, literal if outcome is None else outcome)
+
+    @given(source_text | literal_text, backends)
+    def test_a_literal_parses_alike_as_an_expression(self, text, backend):
+        try:
+            value = parse_octonion(text, backend)
+        except ParseError:
+            return
+        except NonFiniteError as error:
+            with pytest.raises(NonFiniteError) as info:
+                parse_with_info(text, backend)
+            # An expression names the literal at its first character.
+            lead = len(text) - len(text.lstrip())
+            assert str(info.value) == str(error).replace(" offset 0 ", f" offset {lead} ", 1)
+            return
+        expr, chains = parse_with_info(text, backend)
+        assert type(expr) is Literal
+        assert expr.value.c == value.c
+        assert chains == []
 
 
 def _deep(shape: str, depth: int) -> str:

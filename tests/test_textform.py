@@ -21,7 +21,15 @@ from octalg import textform
 from octalg.textform import format_float_rows, format_scalar
 from octalg.trees import associator_matrix
 
-from tests.strategies import backends, octonions, source_text, unit
+from tests.strategies import (
+    LITERAL_ERROR_IDS,
+    LITERAL_ERRORS,
+    assert_outcome,
+    backends,
+    octonions,
+    source_text,
+    unit,
+)
 
 # Binary64 values at the edges of repr's positional/scientific switch and of
 # the range: subnormals, the smallest normal, +-1e308, signed zeros, 1e-7 and
@@ -129,6 +137,10 @@ class TestParse:
             parse_octonion(text, backend)
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("text, backend, outcome, _", LITERAL_ERRORS, ids=LITERAL_ERROR_IDS)
+    def test_error_table(self, text, backend, outcome, _):
+        assert_outcome(parse_octonion, text, backend, outcome)
 
 
 def _reference_text(x: Octonion) -> str:
