@@ -36,7 +36,7 @@ from .brackets import (
     multiplicative_commutator,
     schafer_residual,
 )
-from .core import EXACT, FLOAT, Octonion, _eq, _Record, resolve_tolerance
+from .core import EXACT, Octonion, _eq, _in_range, _Record, resolve_tolerance
 from .sampling import DEFAULT_SEED, random_octonion, random_word
 from .trees import _distinct_products
 
@@ -112,12 +112,11 @@ def _check_commutator_conversion(rng, backend, tol):
 
 def _check_unit_norm(rng, backend, tol):
     x, y, z = (random_octonion(rng, backend, nonzero=True) for _ in range(3))
-    one = 1.0 if backend == FLOAT else 1
     n_assoc = multiplicative_associator(x, y, z).norm_sq()
-    if not _eq(n_assoc, one, tol):
+    if not _eq(n_assoc, 1, tol):
         return f"norm_sq(associator) = {n_assoc} != 1"
     n_comm = multiplicative_commutator(x, y).norm_sq()
-    if not _eq(n_comm, one, tol):
+    if not _eq(n_comm, 1, tol):
         return f"norm_sq(commutator) = {n_comm} != 1"
     return None
 
@@ -142,19 +141,15 @@ def _check_biassociativity(rng, backend, tol):
     """Every evaluation order of a random two-generator word gives one
     product (Artin's theorem), compared on the word's distinct products:
     every order's product is one of them, and the first order's is the
-    first.  An exact word has only that one, so it makes no comparison."""
+    first.  That first product must be `_in_range` of the word's factors,
+    and equal every other; an exact word has only the one."""
     x = random_octonion(rng, backend, nonzero=True)
     y = random_octonion(rng, backend, nonzero=True)
     word = random_word(rng)
     factors = expand_word(word, x, y)
     reference, *others = _distinct_products(factors)[0]
-    if backend == FLOAT and len(factors) > 2:
-        # Other orders may share the first value, and a float value equals
-        # itself under `_eq` only when it is finite.
-        others.append(reference)
-    for other in others:
-        if not _eq(reference, other, tol):
-            return f"word {word} differs between orders for x={x}, y={y}"
+    if not (_in_range(reference, factors) and all(_eq(reference, o, tol) for o in others)):
+        return f"word {word} differs between orders for x={x}, y={y}"
     return None
 
 

@@ -20,15 +20,15 @@ Exit codes: 0 success, 1 usage or syntax error, 2 evaluation error (zero
 inverse, unbound variable, a float literal, result, product or squared
 norm beyond the binary64 range), 3 identity-check failure, which the exact
 backend should never produce.  A float result is never printed with a
-coefficient that is not finite.  ``orders`` refuses a product of nonzero
-factors that underflowed to 0; ``eval`` prints such a product as 0.
+coefficient that is not finite.  ``eval``, the multiplicative brackets and
+``orders`` refuse a product of nonzero operands that underflowed to 0, as
+`core._in_range` decides; a true 0, from a zero operand, is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 # Only what parsing the command line needs is imported here: each command
@@ -40,6 +40,9 @@ from .core import (
     FLOAT,
     Octonion,
     _eq,
+    _in_range,
+    _postorder,
+    _range_error,
     resolve_tolerance,
 )
 from .errors import (
@@ -135,16 +138,13 @@ def _flavor_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _is_finite(value: Octonion) -> bool:
-    """Whether every coefficient of ``value`` is finite (always, on exact)."""
-    return value.backend != FLOAT or all(map(math.isfinite, value.c))
-
-
-def _emit_value(value: Octonion, fmt: str) -> None:
+def _emit_value(value: Octonion, fmt: str, operands=()) -> None:
+    """Print ``value``, the result of ``operands``, or refuse it when it is
+    not `_in_range` of them."""
     from .textform import format_coefficients, format_octonion
 
-    if not _is_finite(value):
-        raise NonFiniteError("the result is beyond the binary64 range")
+    if not _in_range(value, operands):
+        raise _range_error("the result", value)
     if fmt == "machine":
         print(f"result\t{format_coefficients(value)}")
     else:
@@ -164,7 +164,9 @@ def _cmd_eval(args, tolerance) -> int:
     expr, chains = parse_with_info(args.expr, args.backend)
     value = eval_expr(expr, env)
     _warn_defaulted_chains(chains, env, tolerance)
-    _emit_value(value, args.fmt)
+    # A leaf is a node with no sub-expressions: a literal or a variable.
+    leaves = [eval_expr(e, env) for e in _postorder(expr) if not e._children]
+    _emit_value(value, args.fmt, leaves)
     return EXIT_OK
 
 
@@ -188,9 +190,9 @@ def _warn_defaulted_chains(chains, env, tolerance) -> None:
         right = values[-1]
         for v in reversed(values[:-1]):
             right = v * right
-        # An overflowed grouping is refused as a result; it says nothing
+        # A grouping out of range is refused as a result; it says nothing
         # about whether the grouping matters.
-        if not (_is_finite(left) and _is_finite(right)):
+        if not (_in_range(left, values) and _in_range(right, values)):
             continue
         if not _eq(left, right, tolerance):
             print(
@@ -210,7 +212,7 @@ def _cmd_commutator(args, tolerance) -> int:
         _emit_value(additive_commutator(x, y), args.fmt)
         return EXIT_OK
     c = multiplicative_commutator(x, y)
-    _emit_value(c, args.fmt)
+    _emit_value(c, args.fmt, (x, y))
     ok = _eq((x * y) * c, y * x, tolerance)
     _emit_check_line("(x*y)*c = y*x", ok, args.fmt)
     return EXIT_OK if ok else EXIT_CHECK
@@ -227,7 +229,7 @@ def _cmd_associator(args, tolerance) -> int:
         _emit_value(additive_associator(x, y, z), args.fmt)
         return EXIT_OK
     a = multiplicative_associator(x, y, z)
-    _emit_value(a, args.fmt)
+    _emit_value(a, args.fmt, (x, y, z))
     left, right = (x * y) * z, x * (y * z)
     forward = _eq(left * a, right, tolerance)
     backward = _eq(left, right * a.conjugate(), tolerance)

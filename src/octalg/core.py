@@ -33,7 +33,7 @@ import linecache
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     BackendMismatchError,
@@ -236,11 +236,24 @@ def _sum_of_squares(v):
     return acc
 
 
-def _norm_range_error(n2: float, what: str) -> NonFiniteError:
-    """The error for a nonzero float value, named by ``what``, whose squared
-    norm ``n2`` is 0 or not finite: it left the binary64 range."""
-    problem = "underflows binary64 to 0" if n2 == 0.0 else "is beyond the binary64 range"
-    return NonFiniteError(f"the squared norm of {what} {problem}")
+def _in_range(value: Octonion, operands: Sequence[Octonion] = ()) -> bool:
+    """Whether ``value``, made from ``operands``, stayed within binary64: always
+    on exact; on float when every coefficient is finite and, if ``operands``
+    are given and all nonzero, ``value`` is not 0.  A product of nonzero
+    octonions is never 0 (they form a division algebra), so a float 0 made
+    from them can only be underflow."""
+    v = value._v
+    return value._d is not None or (
+        all(map(math.isfinite, v)) and (any(v) or not (operands and all(operands)))
+    )
+
+
+def _range_error(what: str, value) -> NonFiniteError:
+    """The NonFiniteError for ``what``, whose float ``value`` (an octonion or
+    a squared norm) left the binary64 range: it underflowed to 0 when
+    ``value`` is 0, and is beyond the range otherwise."""
+    problem = "underflows binary64 to 0" if not value else "is beyond the binary64 range"
+    return NonFiniteError(f"{what} {problem}")
 
 
 def cayley_dickson_product(u: Iterable[Scalar], v: Iterable[Scalar]) -> tuple:
@@ -465,7 +478,7 @@ class Octonion:
             if not 0.0 < n2 < math.inf:
                 if not self:
                     raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
-                raise _norm_range_error(n2, f"operand {self}")
+                raise _range_error(f"the squared norm of operand {self}", n2)
             return _new([x / n2 for x in self.conjugate()._v], None)
         # conj(v)/d divided by sum(v^2)/d^2 is conj(v)*d / sum(v^2).
         s = _sum_of_squares(v)

@@ -21,9 +21,9 @@ class ZeroInverseError(OctalgError, ZeroDivisionError):
 
 
 class NonFiniteError(OctalgError, ValueError):
-    """Raised when a float-backend literal or coefficient, or a squared norm
-    that an inverse divides by, is beyond the binary64 range: not finite, or
-    underflowed to 0 from nonzero coefficients."""
+    """Raised when a float-backend literal or coefficient, a result or
+    product, or a squared norm that an inverse divides by, is beyond the
+    binary64 range: not finite, or underflowed to 0 from nonzero operands."""
 
 
 class ShapeMismatchError(OctalgError, ValueError):

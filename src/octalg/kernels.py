@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Octonion, _norm_range_error, _product, _sum_of_squares
+from .core import Octonion, _product, _range_error, _sum_of_squares
 from .errors import ZeroInverseError
 
 _ONE = np.array([1.0] + [0.0] * 7)
@@ -94,7 +94,7 @@ def inverse(a: np.ndarray) -> np.ndarray:
         row = int(np.argmin(invertible))
         if not a[row].any():
             raise ZeroInverseError(f"row {row} is the zero octonion and has no inverse")
-        raise _norm_range_error(n2[row], f"row {row}")
+        raise _range_error(f"the squared norm of row {row}", n2[row])
     return conjugate(a) / n2[:, None]
 
 

@@ -22,6 +22,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+from .brackets import WORD_SYMBOLS
 from .core import DIM, EXACT, FLOAT, Octonion, _new
 
 DEFAULT_SEED = 12345
@@ -90,7 +91,7 @@ def random_octonion(rng: random.Random, backend: str = EXACT, nonzero: bool = Fa
     return _new([p * (d // q) for p, q in zip(ps, qs)], d)
 
 
-_WORD_LETTERS = ("x", "y", "x~", "y~", "x^-1", "y^-1", "scalar")
+_WORD_LETTERS = WORD_SYMBOLS + ("scalar",)
 
 
 def random_word(rng: random.Random, max_length: int = 8) -> list:

@@ -67,10 +67,10 @@ def _scan_number(text: str, i: int, backend: str):
         den_start = _skip_ws(text, slash + 1)
         m2 = _INT_RE.match(text, den_start)
         if not m2:
-            raise ParseError(den_start, ("denominator digits",))
+            raise ParseError(den_start, ("denominator digits",), text[den_start : den_start + 1])
         denominator = int(m2.group(0))
         if denominator == 0:
-            raise ParseError(den_start, ("nonzero denominator",))
+            raise ParseError(den_start, ("nonzero denominator",), text[den_start])
         value = Fraction(numerator, denominator)
         end = m2.end()
     elif end < len(text) and text[end] == ".":
@@ -80,7 +80,7 @@ def _scan_number(text: str, i: int, backend: str):
             )
         m2 = _INT_RE.match(text, end + 1)
         if not m2:
-            raise ParseError(end + 1, ("fractional digits",))
+            raise ParseError(end + 1, ("fractional digits",), text[end + 1 : end + 2])
         return _to_float(text[i : m2.end()], i), m2.end()
     else:
         value = Fraction(numerator)
@@ -90,7 +90,9 @@ def _scan_number(text: str, i: int, backend: str):
 
 
 def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion, int]:
-    """Greedily scan one octonion literal starting at ``start``.
+    """Greedily scan one octonion literal starting at its first character
+    at or after ``start``, past any whitespace; a float sum beyond the
+    binary64 range is a NonFiniteError naming that character's offset.
 
     Reads signed terms while a sign follows the last one; a term is a
     number with an optional unit after it, or a lone unit.  A term missing
@@ -101,7 +103,7 @@ def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion
     one = 1.0 if backend == FLOAT else Fraction(1)
     zero = 0.0 if backend == FLOAT else Fraction(0)
     coeffs = [zero] * DIM
-    i = start
+    i = start = _skip_ws(text, start)
     missing = None
     while True:
         j = _skip_ws(text, i)

@@ -32,11 +32,12 @@ from .core import (
     Scalar,
     _Record,
     _new,
-    _norm_range_error,
+    _in_range,
     _postorder,
+    _range_error,
     resolve_tolerance,
 )
-from .errors import NonFiniteError, OutOfRangeError, ShapeMismatchError, ZeroInverseError
+from .errors import OutOfRangeError, ShapeMismatchError, ZeroInverseError
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
 
@@ -228,18 +229,11 @@ def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:
 
 
 def _require_representable(factors: Sequence[Octonion], products: Sequence[Octonion]) -> None:
-    """On float, NonFiniteError naming the first of ``products``, the
-    `tree_products` of ``factors``, by its 1-based order, that left the
-    binary64 range: a coefficient that is not finite, or, when every factor
-    is nonzero, a product that underflowed to exactly 0."""
-    if factors[0].backend != FLOAT:
-        return
-    factors_nonzero = all(factors)
+    """NonFiniteError naming the first of ``products``, the `tree_products`
+    of ``factors``, by its 1-based order, that is not `_in_range`."""
     for k, p in enumerate(products, start=1):
-        if not all(map(math.isfinite, p.c)):
-            raise NonFiniteError(f"the product under order {k} is beyond the binary64 range")
-        if factors_nonzero and not p:
-            raise NonFiniteError(f"the product under order {k} underflows binary64 to 0")
+        if not _in_range(p, factors):
+            raise _range_error(f"the product under order {k}", p)
 
 
 def generalized_associator(i: int, j: int, factors: Sequence[Octonion]) -> Octonion:
@@ -321,7 +315,7 @@ def _entries_float(products: list[Octonion]):
     p = kernels.from_octonions(products)
     for k, n2 in enumerate(kernels.norm_squared(p).tolist(), start=1):
         if not 0.0 < n2 < math.inf:
-            raise _norm_range_error(n2, f"the product under order {k}")
+            raise _range_error(f"the squared norm of the product under order {k}", n2)
     flat = kernels.pairwise_products(kernels.inverse(p), p)
     flat.flags.writeable = False
     return flat

@@ -51,16 +51,20 @@ _TERM_AT = "syntax error at offset {}: expected number or unit e0..e7"
 LITERAL_ERRORS = [
     ("1/", "exact", (ParseError, 2, ("denominator digits",), "",
                      "syntax error at offset 2: expected denominator digits"), None),
-    ("1 / x", "exact", (ParseError, 4, ("denominator digits",), "",
-                        "syntax error at offset 4: expected denominator digits"), None),
-    ("1/ 0", "exact", (ParseError, 3, ("nonzero denominator",), "",
-                       "syntax error at offset 3: expected nonzero denominator"), None),
+    ("1 / x", "exact", (ParseError, 4, ("denominator digits",), "x",
+                        "syntax error at offset 4: expected denominator digits, found 'x'"),
+     None),
+    ("1/ 0", "exact", (ParseError, 3, ("nonzero denominator",), "0",
+                       "syntax error at offset 3: expected nonzero denominator, found '0'"),
+     None),
     ("1.5", "exact", (ParseError, 0,
                       ("integer or fraction (decimal floats need the float backend)",), "",
                       "syntax error at offset 0: expected integer or fraction "
                       "(decimal floats need the float backend)"), None),
     ("1.", "float", (ParseError, 2, ("fractional digits",), "",
                      "syntax error at offset 2: expected fractional digits"), None),
+    ("1.x", "float", (ParseError, 2, ("fractional digits",), "x",
+                      "syntax error at offset 2: expected fractional digits, found 'x'"), None),
     ("", "exact", (ParseError, 0, _TERM, "", _TERM_AT.format(0)),
      (ParseError, 0, ("literal", "identifier", "'('"), "",
       "syntax error at offset 0: expected literal or identifier or '('")),
@@ -93,13 +97,11 @@ LITERAL_ERRORS = [
     ("2 + 1" + "0" * 400 + ".0", "float",
      (NonFiniteError, None, None, None, "the number at offset 4 is beyond the binary64 range"),
      None),
-    # The sum check names the offset scanning began at: parse_octonion
-    # starts at 0, an expression at the literal's first character.
+    # The sum check names the literal's first character, after leading
+    # whitespace, in a literal and in an expression alike.
     (f" {MAX_LITERAL} + {MAX_LITERAL}", "float",
      (NonFiniteError, None, None, None,
-      "the e0 coefficient of the literal at offset 0 sums beyond the binary64 range"),
-     (NonFiniteError, None, None, None,
-      "the e0 coefficient of the literal at offset 1 sums beyond the binary64 range")),
+      "the e0 coefficient of the literal at offset 1 sums beyond the binary64 range"), None),
     (f"x * {MAX_LITERAL} + {MAX_LITERAL} - y", "float",
      (ParseError, 0, _TERM, "x", _TERM_AT.format(0) + ", found 'x'"),
      (NonFiniteError, None, None, None,

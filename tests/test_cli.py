@@ -594,6 +594,89 @@ class TestOrders:
         assert symmetry.endswith("OK" if coefficient == 0 else "FAIL")
 
 
+# A nonzero float value whose square underflows to 0, and one whose
+# cube overflows.
+SMALL = "0." + "0" * 99 + "1"
+LARGE = "1" + "0" * 150 + ".0"
+
+
+class TestRangeRefusals:
+    """Every refusal of a float value that left binary64, and the zeros
+    that are not refused: one rule, `core._in_range`, decides them."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "x*x", "--let", f"x={HUGE}"], "the result is beyond the binary64 range"),
+            (["eval", f"({TINY})*({TINY})"], "the result underflows binary64 to 0"),
+            (["eval", "x*x*x", "--let", f"x={TINY}"], "the result underflows binary64 to 0"),
+            (["associator", LARGE, LARGE, LARGE], "the result is beyond the binary64 range"),
+            (["orders", HUGE, HUGE, "1"], "the product under order 1 is beyond the binary64 range"),
+            (["orders", TINY, TINY, "1"], "the product under order 1 underflows binary64 to 0"),
+            (["orders", f"{HUGE}e1", "e2", "e4", "--matrix"],
+             "the squared norm of the product under order 1 is beyond the binary64 range"),
+            (["orders", SMALL, SMALL, "e4", "--matrix"],
+             "the squared norm of the product under order 1 underflows binary64 to 0"),
+            (["eval", "x^-1", "--let", f"x={HUGE}"],
+             f"the squared norm of operand 1{'0' * 200} is beyond the binary64 range"),
+            (["eval", "x^-1", "--let", "x=0." + "0" * 169 + "1"],
+             f"the squared norm of operand 0.{'0' * 169}1 underflows binary64 to 0"),
+        ],
+        ids=[
+            "eval-overflow", "eval-underflow", "eval-chain-underflow", "bracket",
+            "orders-overflow", "orders-underflow", "matrix-norm-overflow",
+            "matrix-norm-underflow", "inverse-overflow", "inverse-underflow",
+        ],
+    )
+    def test_cli_refusals(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--backend", "float")
+        assert code == 2
+        assert out == ""
+        # A defaulted chain is still flagged, but not blamed on its grouping.
+        assert "grouping changes" not in err
+        assert err.splitlines()[-1] == f"octalg: error: {message}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (1e200, "is beyond the binary64 range"),
+            (1e-170, "underflows binary64 to 0"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_inverse_refusals(self, value, message):
+        from octalg import NonFiniteError, Octonion, kernels
+
+        x = Octonion.from_real(value)
+        with pytest.raises(NonFiniteError) as scalar:
+            x.inverse()
+        assert str(scalar.value) == f"the squared norm of operand {x} {message}"
+        with pytest.raises(NonFiniteError) as rows:
+            kernels.inverse([[1.0] * 8, [value] + [0.0] * 7])
+        assert str(rows.value) == f"the squared norm of row 1 {message}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["0*e1"], ["x*y", "--let", "x=0", "--let", f"y={TINY}"]],
+        ids=["literal", "binding"],
+    )
+    def test_a_true_zero_is_printed(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", "--backend", "float", *argv)
+        assert code == 0
+        assert out == "0\n"
+        assert err == ""
+
+    def test_an_overflowed_two_letter_word_fails_biassociativity(self, monkeypatch):
+        from octalg import Octonion, checks
+
+        huge = Octonion.from_real(1e200)
+        monkeypatch.setattr(checks, "random_octonion", lambda *args, **kwargs: huge)
+        monkeypatch.setattr(checks, "random_word", lambda rng: ["x", "y"])
+        [report] = checks.run_checks(cases=1, backend="float", names=["bi-associativity"])
+        assert report.failures == 1
+        assert report.first_failure.startswith("word ['x', 'y'] differs between orders")
+
+
 class TestCheckReport:
     def test_equality_and_repr(self):
         from octalg.checks import CheckReport
