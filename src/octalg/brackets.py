@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import FLOAT, Octonion
+from .core import FLOAT, Octonion, _require_in_range
 from .errors import BackendMismatchError, InvalidWordError, ZeroInverseError
 
 
@@ -36,10 +36,11 @@ def multiplicative_commutator(x: Octonion, y: Octonion) -> Octonion:
     """The unit-norm c with (x*y)*c == y*x, computed as y^-1 * x^-1 * y * x.
 
     The four-factor product is evaluated left to right; any other order
-    gives the same value because only two generators are involved.
+    gives the same value because only two generators are involved.  A float
+    result that is not `_in_range` of x and y raises NonFiniteError.
     """
     _require_nonzero(x=x, y=y)
-    return ((y.inverse() * x.inverse()) * y) * x
+    return _require_in_range(((y.inverse() * x.inverse()) * y) * x, (x, y))
 
 
 def multiplicative_associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
@@ -47,12 +48,15 @@ def multiplicative_associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion
 
     Evaluated as (z^-1 * (y^-1 * x^-1)) * (x * (y*z)) with exactly that
     grouping; the shorter inverse((x*y)*z) * (x*(y*z)) form is checked
-    against it in the tests rather than substituted for it.
+    against it in the tests rather than substituted for it.  A float result
+    that is not `_in_range` of x, y and z, such as the NaN of an overflowed
+    ``x*(y*z)`` times an underflowed product of inverses, raises
+    NonFiniteError.
     """
     _require_nonzero(x=x, y=y, z=z)
     left = z.inverse() * (y.inverse() * x.inverse())
     right = x * (y * z)
-    return left * right
+    return _require_in_range(left * right, (x, y, z))
 
 
 def _schafer_sides(a: Octonion, x: Octonion, y: Octonion, z: Octonion):

@@ -18,7 +18,8 @@ coefficients; matrix entries are ``i<TAB>j<TAB>coefficients`` lines with
 
 Exit codes: 0 success, 1 usage or syntax error, 2 evaluation error (zero
 inverse, unbound variable, a float literal, result, product or squared
-norm beyond the binary64 range), 3 identity-check failure, which the exact
+norm beyond the binary64 range, a nonzero literal that rounds to 0, a
+subnormal squared norm), 3 identity-check failure, which the exact
 backend should never produce.  A float result is never printed with a
 coefficient that is not finite.  ``eval``, the multiplicative brackets and
 ``orders`` refuse a product of nonzero operands that underflowed to 0, as
@@ -42,7 +43,7 @@ from .core import (
     _eq,
     _in_range,
     _postorder,
-    _range_error,
+    _require_in_range,
     resolve_tolerance,
 )
 from .errors import (
@@ -138,13 +139,12 @@ def _flavor_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _emit_value(value: Octonion, fmt: str, operands=()) -> None:
-    """Print ``value``, the result of ``operands``, or refuse it when it is
-    not `_in_range` of them."""
+def _emit_value(value: Octonion, fmt: str) -> None:
+    """Print ``value``.  A result the library does not range-check, that of
+    ``eval`` or of an additive bracket, is passed through `_require_in_range`
+    first; the multiplicative brackets refuse their own."""
     from .textform import format_coefficients, format_octonion
 
-    if not _in_range(value, operands):
-        raise _range_error("the result", value)
     if fmt == "machine":
         print(f"result\t{format_coefficients(value)}")
     else:
@@ -166,7 +166,7 @@ def _cmd_eval(args, tolerance) -> int:
     _warn_defaulted_chains(chains, env, tolerance)
     # A leaf is a node with no sub-expressions: a literal or a variable.
     leaves = [eval_expr(e, env) for e in _postorder(expr) if not e._children]
-    _emit_value(value, args.fmt, leaves)
+    _emit_value(_require_in_range(value, leaves), args.fmt)
     return EXIT_OK
 
 
@@ -209,10 +209,10 @@ def _cmd_commutator(args, tolerance) -> int:
     x = parse_octonion(args.x, args.backend)
     y = parse_octonion(args.y, args.backend)
     if args.flavor == "additive":
-        _emit_value(additive_commutator(x, y), args.fmt)
+        _emit_value(_require_in_range(additive_commutator(x, y)), args.fmt)
         return EXIT_OK
     c = multiplicative_commutator(x, y)
-    _emit_value(c, args.fmt, (x, y))
+    _emit_value(c, args.fmt)
     ok = _eq((x * y) * c, y * x, tolerance)
     _emit_check_line("(x*y)*c = y*x", ok, args.fmt)
     return EXIT_OK if ok else EXIT_CHECK
@@ -226,10 +226,10 @@ def _cmd_associator(args, tolerance) -> int:
     y = parse_octonion(args.y, args.backend)
     z = parse_octonion(args.z, args.backend)
     if args.flavor == "additive":
-        _emit_value(additive_associator(x, y, z), args.fmt)
+        _emit_value(_require_in_range(additive_associator(x, y, z)), args.fmt)
         return EXIT_OK
     a = multiplicative_associator(x, y, z)
-    _emit_value(a, args.fmt, (x, y, z))
+    _emit_value(a, args.fmt)
     left, right = (x * y) * z, x * (y * z)
     forward = _eq(left * a, right, tolerance)
     backward = _eq(left, right * a.conjugate(), tolerance)
@@ -248,11 +248,13 @@ def _emit_check_line(label: str, ok: bool, fmt: str) -> None:
 
 
 def _cmd_orders(args, tolerance) -> int:
-    from .textform import format_coefficients, format_octonion, parse_octonion
+    from .textform import parse_octonion
     from .trees import (
         _machine_blocks,
+        _product_texts,
         _require_representable,
         _text_lines,
+        _texts,
         _tree_labels,
         associator_matrix,
         tree_products,
@@ -261,30 +263,33 @@ def _cmd_orders(args, tolerance) -> int:
 
     factors = [parse_octonion(text, args.backend) for text in args.factors]
     n = len(factors)
+    machine = args.fmt == "machine"
     # Built before anything is printed, so an evaluation error leaves no
     # partial output.
     if args.matrix:
         matrix = associator_matrix(factors)
         products = matrix.products
+        texts = _product_texts(matrix, machine)
     else:
         matrix = None
         products = tree_products(factors)
         _require_representable(factors, products)
-    orders = zip(_tree_labels(n), products)
-    if args.fmt == "machine":
+        texts = _texts(products, machine)
+    orders = zip(_tree_labels(n), texts)
+    if machine:
         print(f"n\t{n}")
         print(f"orders\t{len(products)}")
-        for k, (label, value) in enumerate(orders, start=1):
-            print(f"order_{k}\t{label}\t{format_coefficients(value)}")
+        for k, (label, text) in enumerate(orders, start=1):
+            print(f"order_{k}\t{label}\t{text}")
     else:
         plural = "s" if len(products) != 1 else ""
         print(f"{n} factor product, {len(products)} evaluation order{plural}:")
-        for k, (label, value) in enumerate(orders, start=1):
-            print(f"  {k}: {label} = {format_octonion(value)}")
+        for k, (label, text) in enumerate(orders, start=1):
+            print(f"  {k}: {label} = {text}")
     if matrix is None:
         return EXIT_OK
 
-    if args.fmt == "machine":
+    if machine:
         lines = _machine_blocks(matrix)
     else:
         print("order-conversion matrix (entry i j converts order i into order j):")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -51,6 +52,10 @@ FLOAT = "float"
 
 # Comparison tolerance of the float backend when the caller names none.
 DEFAULT_FLOAT_TOLERANCE = 1e-12
+
+# The smallest normal binary64 number.  A float squared norm below it is
+# subnormal and has lost its relative precision, so no inverse divides by it.
+_MIN_NORMAL = sys.float_info.min
 
 
 def resolve_tolerance(backend: str, tolerance: Scalar | None = None) -> Scalar:
@@ -251,9 +256,23 @@ def _in_range(value: Octonion, operands: Sequence[Octonion] = ()) -> bool:
 def _range_error(what: str, value) -> NonFiniteError:
     """The NonFiniteError for ``what``, whose float ``value`` (an octonion or
     a squared norm) left the binary64 range: it underflowed to 0 when
-    ``value`` is 0, and is beyond the range otherwise."""
-    problem = "underflows binary64 to 0" if not value else "is beyond the binary64 range"
+    ``value`` is 0, is subnormal when a nonzero squared norm is below
+    `_MIN_NORMAL`, and is beyond the range otherwise."""
+    if not value:
+        problem = "underflows binary64 to 0"
+    elif isinstance(value, float) and value < _MIN_NORMAL:
+        problem = f"is subnormal, below the smallest normal binary64 number {_MIN_NORMAL!r}"
+    else:
+        problem = "is beyond the binary64 range"
     return NonFiniteError(f"{what} {problem}")
+
+
+def _require_in_range(value: Octonion, operands: Sequence[Octonion] = ()) -> Octonion:
+    """``value``, made from ``operands``, when it is `_in_range` of them; else
+    raises the `_range_error` for "the result"."""
+    if not _in_range(value, operands):
+        raise _range_error("the result", value)
+    return value
 
 
 def cayley_dickson_product(u: Iterable[Scalar], v: Iterable[Scalar]) -> tuple:
@@ -468,14 +487,16 @@ class Octonion:
     def inverse(self) -> "Octonion":
         """The two-sided multiplicative inverse, conjugate / norm_sq.
 
-        On the float backend a squared norm beyond the binary64 range raises
-        NonFiniteError: one that overflows would round the inverse towards
-        zero, and a nonzero one that underflows to 0 cannot be divided by.
+        On the float backend a squared norm outside the normal binary64
+        range raises NonFiniteError: one that overflows would round the
+        inverse towards zero, a subnormal one has lost the precision the
+        inverse needs, and a nonzero one that underflows to 0 cannot be
+        divided by.
         """
         v, d = self._v, self._d
         if d is None:
             n2 = self.norm_sq()
-            if not 0.0 < n2 < math.inf:
+            if not _MIN_NORMAL <= n2 < math.inf:
                 if not self:
                     raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
                 raise _range_error(f"the squared norm of operand {self}", n2)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Octonion, _product, _range_error, _sum_of_squares
+from .core import Octonion, _MIN_NORMAL, _product, _range_error, _sum_of_squares
 from .errors import ZeroInverseError
 
 _ONE = np.array([1.0] + [0.0] * 7)
@@ -85,11 +85,12 @@ def inverse(a: np.ndarray) -> np.ndarray:
 
     The first row that has no inverse is named in the error, as the scalar
     `Octonion.inverse` names its operand: ZeroInverseError for a zero row,
-    NonFiniteError for one whose squared norm is not finite or underflows to 0.
+    NonFiniteError for one whose squared norm is not finite, is subnormal or
+    underflows to 0.
     """
     a = _as_batch(a)
     n2 = norm_squared(a)
-    invertible = (n2 > 0.0) & (n2 < np.inf)
+    invertible = (n2 >= _MIN_NORMAL) & (n2 < np.inf)
     if not invertible.all():
         row = int(np.argmin(invertible))
         if not a[row].any():

@@ -7,9 +7,10 @@ An octonion is written as a signed sum of terms, one term per basis unit::
 A sign must be followed by a term.  Coefficients are decimal integers, fractions ``p/q``, or (float backend
 only) plain decimal floats.  On the float backend every coefficient, and
 every sum of terms on one unit, must be finite in binary64; anything
-larger raises NonFiniteError.  The real unit is a bare coefficient; ``e1``
-to ``e7`` name the imaginary units (a lone ``e0`` is also accepted and
-means 1).  Whitespace is insignificant.  Scientific notation is not
+larger raises NonFiniteError, as does a nonzero number that rounds to 0.
+The real unit is a bare coefficient; ``e1`` to ``e7`` name the imaginary
+units (a lone ``e0`` is also accepted and means 1).  Whitespace is
+insignificant.  Scientific notation is not
 supported: ``e`` followed by a digit always starts a unit name.
 """
 
@@ -41,13 +42,16 @@ def _scan_word(text: str, i: int) -> str | None:
 
 
 def _to_float(value, offset: int) -> float:
-    """``value`` as binary64; NonFiniteError when it is beyond that range."""
+    """``value``, a decimal text or a Fraction, as binary64; NonFiniteError
+    when it is beyond that range, or nonzero and rounds to 0."""
     try:
         result = float(value)
     except OverflowError:  # an int or Fraction too large for a float
         result = math.inf
     if not math.isfinite(result):
         raise NonFiniteError(f"the number at offset {offset} is beyond the binary64 range")
+    if not result and Fraction(value):
+        raise NonFiniteError(f"the number at offset {offset} underflows binary64 to 0")
     return result
 
 
@@ -167,13 +171,13 @@ def coefficient_tokens(x: Octonion) -> list[str]:
     return [str(n) if d == 1 else f"{n}/{d}" for n, d in x.ratios()]
 
 
-def format_octonion(x: Octonion) -> str:
-    """Render in the shared text format, e.g. ``2 - 3/4e1 + e7``, from the
-    `coefficient_tokens` alone: a zero token is skipped, a leading ``-``
-    becomes the term's sign (unspaced on the first term, where a plus is
-    left out), and a unit's coefficient of magnitude ``1`` is left out."""
+def _term_text(tokens) -> str:
+    """The shared text format written from 8 coefficient tokens: a zero
+    token is skipped, a leading ``-`` becomes the term's sign (unspaced on
+    the first term, where a plus is left out), and a unit's coefficient of
+    magnitude ``1`` is left out."""
     text = ""
-    for token, unit in zip(coefficient_tokens(x), ("", "e1", "e2", "e3", "e4", "e5", "e6", "e7")):
+    for token, unit in zip(tokens, ("", "e1", "e2", "e3", "e4", "e5", "e6", "e7")):
         if token in {"0", "0.0", "-0.0"}:
             continue
         if token[0] == "-":
@@ -189,6 +193,12 @@ def format_octonion(x: Octonion) -> str:
     return "-" + text[3:]
 
 
+def format_octonion(x: Octonion) -> str:
+    """Render in the shared text format, e.g. ``2 - 3/4e1 + e7``: `_term_text`
+    of the `coefficient_tokens` alone."""
+    return _term_text(coefficient_tokens(x))
+
+
 def format_coefficients(x: Octonion) -> str:
     """Machine rendering: the 8 coefficients, comma-separated."""
     return ",".join(coefficient_tokens(x))
@@ -197,23 +207,27 @@ def format_coefficients(x: Octonion) -> str:
 def format_float_rows(rows) -> list[str]:
     """The machine rendering of each row of a C-contiguous ``(m, 8)`` float64
     array: its values comma-separated, each as `format_scalar` writes it.
+    Every float rendering of a matrix and its products is written from these
+    tokens, the text format by `_term_text` of each row's tokens.
 
     All rows are written by one ``orjson.dumps``, whose Ryū writes each
     value's shortest round-trip digits, positionally from 1e-5 up to 1e16,
-    and in scientific notation outside: only those tokens are expanded, by
-    `_positional` from orjson's own digits.  A row holding ``null``, which
-    is how orjson writes a non-finite value, is rendered per value.
+    and in scientific notation outside.  The dump's text is scanned once for
+    ``n`` and once for ``e``: a block holding ``null``, which is how orjson
+    writes a non-finite value, is rendered per value, and only when an ``e``
+    is present are the cells that hold one expanded, by `_positional` from
+    orjson's own digits.
     """
-    import orjson  # imported here: only the float machine matrix needs it
+    import orjson  # imported here: only the float matrix commands need it
 
     if not len(rows):
         return []
-    cells = (
-        orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
-    )
-    for k, cell in enumerate(cells):
-        if "n" in cell:
-            cells[k] = ",".join(map(format_scalar, rows[k].tolist()))
-        elif "e" in cell:
-            cells[k] = ",".join(map(_positional, cell.split(",")))
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
+    if "n" in text:
+        return [",".join(map(format_scalar, row)) for row in rows.tolist()]
+    cells = text.split("],[")
+    if "e" in text:
+        for k, cell in enumerate(cells):
+            if "e" in cell:
+                cells[k] = ",".join(map(_positional, cell.split(",")))
     return cells

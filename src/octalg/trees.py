@@ -31,6 +31,7 @@ from .core import (
     Octonion,
     Scalar,
     _Record,
+    _MIN_NORMAL,
     _new,
     _in_range,
     _postorder,
@@ -260,7 +261,8 @@ class AssociatorMatrix(_Record):
 
     ``flat`` holds the entries row-major, entry (i, j) at index
     ``i * size + j``: on float a read-only ``(size * size, 8)`` float64
-    array, on exact a list of octonions, both read through `_octonions`.
+    array, whose entries `entry` wraps one at a time, on exact a list of
+    octonions.
     Equality is identity, since ``flat`` may be an array.
     """
 
@@ -281,8 +283,8 @@ class AssociatorMatrix(_Record):
         size = self.size
         if not (0 <= i < size and 0 <= j < size):
             raise IndexError(f"matrix indices must be in 0..{size - 1}, got ({i}, {j})")
-        k = i * size + j
-        return _octonions(self, k, k + 1)[0]
+        entry = self.flat[i * size + j]
+        return entry if isinstance(self.flat, list) else _new(entry.tolist(), None)
 
 
 def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
@@ -308,13 +310,14 @@ def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
 
 def _entries_float(products: list[Octonion]):
     """Batched float path, bit for bit the scalar formulas run on columns.
-    The factors are nonzero, so a product whose squared norm is 0 or not
-    finite left the binary64 range: NonFiniteError names its 1-based order."""
+    The factors are nonzero, so a product whose squared norm is 0, subnormal
+    or not finite left the normal binary64 range, as `Octonion.inverse`
+    refuses it: NonFiniteError names its 1-based order."""
     from . import kernels
 
     p = kernels.from_octonions(products)
     for k, n2 in enumerate(kernels.norm_squared(p).tolist(), start=1):
-        if not 0.0 < n2 < math.inf:
+        if not _MIN_NORMAL <= n2 < math.inf:
             raise _range_error(f"the squared norm of the product under order {k}", n2)
     flat = kernels.pairwise_products(kernels.inverse(p), p)
     flat.flags.writeable = False
@@ -345,30 +348,37 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> 
     return diagonal_ok, symmetry_ok
 
 
-def _octonions(matrix: AssociatorMatrix, start: int, stop: int) -> list[Octonion]:
-    """``matrix.flat[start:stop]`` as octonions: the exact list as it is, a
-    float slice wrapped one entry at a time."""
-    entries = matrix.flat[start:stop]
-    if matrix.products[0].backend == EXACT:
-        return entries
-    return [_new(v, None) for v in entries.tolist()]
+def _texts(values, machine: bool) -> list[str]:
+    """Each of ``values`` as `format_coefficients` (``machine``) or
+    `format_octonion` writes it.  A list of octonions renders one value at a
+    time; a float64 ``(m, 8)`` array takes its tokens from one
+    `format_float_rows` pass, and the text format writes each row's tokens
+    by the term rule, `textform._term_text`."""
+    from .textform import _term_text, format_coefficients, format_float_rows, format_octonion
+
+    if isinstance(values, list):
+        return list(map(format_coefficients if machine else format_octonion, values))
+    cells = format_float_rows(values)
+    return cells if machine else [_term_text(cell.split(",")) for cell in cells]
+
+
+def _product_texts(matrix: AssociatorMatrix, machine: bool) -> list[str]:
+    """The `_texts` of ``matrix.products``: on float, of one array of them,
+    stacked as `_entries_float` stacks them."""
+    if isinstance(matrix.flat, list):
+        return _texts(list(matrix.products), machine)
+    from . import kernels
+
+    return _texts(kernels.from_octonions(matrix.products), machine)
 
 
 def _row_texts(matrix: AssociatorMatrix, machine: bool):
-    """Each matrix row's cell texts, as `format_coefficients` (``machine``)
-    or `format_octonion` writes them.  A float machine row is one
-    `format_float_rows` pass; every other row renders `_octonions` one
-    entry at a time, so the float text table never loads orjson."""
-    from .textform import format_coefficients, format_float_rows, format_octonion
-
+    """Each matrix row's cell texts: the `_texts` of its slice of
+    ``matrix.flat``, so every float row, in both formats, is one
+    `format_float_rows` pass."""
     size = matrix.size
-    float_rows = machine and matrix.products[0].backend == FLOAT
-    render = format_coefficients if machine else format_octonion
     for first in range(0, size * size, size):
-        if float_rows:
-            yield format_float_rows(matrix.flat[first:first + size])
-        else:
-            yield list(map(render, _octonions(matrix, first, first + size)))
+        yield _texts(matrix.flat[first:first + size], machine)
 
 
 def format_matrix_text(matrix: AssociatorMatrix) -> str:
@@ -378,11 +388,15 @@ def format_matrix_text(matrix: AssociatorMatrix) -> str:
 
 def _text_lines(matrix: AssociatorMatrix):
     """The lines of `format_matrix_text`, for the caller to write one by one:
-    the column widths need every cell, but the table is never joined."""
-    cells = list(_row_texts(matrix, machine=False))
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    for i, row in enumerate(cells, start=1):
-        padded = "   ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+    the column widths need every cell, but the table is never joined.  Until
+    the widths are known, each row's cells are held as one string, joined by
+    a tab, which no cell holds."""
+    rows, widths = [], [0] * matrix.size
+    for texts in _row_texts(matrix, machine=False):
+        widths = list(map(max, widths, map(len, texts)))
+        rows.append("\t".join(texts))
+    for i, row in enumerate(rows, start=1):
+        padded = "   ".join(map(str.ljust, row.split("\t"), widths)).rstrip()
         yield f"[{i}] {padded}"
 
 

@@ -97,6 +97,16 @@ LITERAL_ERRORS = [
     ("2 + 1" + "0" * 400 + ".0", "float",
      (NonFiniteError, None, None, None, "the number at offset 4 is beyond the binary64 range"),
      None),
+    # A nonzero number that rounds to 0 is refused; a true zero parses.
+    ("2 + 0." + "0" * 400 + "1", "float",
+     (NonFiniteError, None, None, None, "the number at offset 4 underflows binary64 to 0"),
+     None),
+    ("1/1" + "0" * 400, "float",
+     (NonFiniteError, None, None, None, "the number at offset 0 underflows binary64 to 0"),
+     None),
+    ("e1 - 3 / 1" + "0" * 400 + "e2", "float",
+     (NonFiniteError, None, None, None, "the number at offset 5 underflows binary64 to 0"),
+     None),
     # The sum check names the literal's first character, after leading
     # whitespace, in a literal and in an expression alike.
     (f" {MAX_LITERAL} + {MAX_LITERAL}", "float",

@@ -1,13 +1,18 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from octalg import Octonion
 from octalg.cli import main
 from octalg.trees import Leaf, _tree_labels, enumerate_trees, left_comb, render_tree
 
@@ -571,6 +576,51 @@ class TestOrders:
         assert code == 0
         assert "  1: x1*(x2*x3) = 0" in out.splitlines()
 
+    @given(
+        st.lists(
+            st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8)
+            .map(Octonion)
+            .filter(lambda x: x.norm_sq() >= 1e-6),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(["machine", "text"]),
+    )
+    def test_float_matrix_renders_each_value_as_its_own_rendering(self, factors, fmt):
+        # The listing and every cell come from one token pass over an array;
+        # each must read as the per-value rendering of its product or entry.
+        from octalg.textform import format_coefficients, format_octonion, parse_octonion
+        from octalg.trees import associator_matrix
+
+        texts = list(map(format_octonion, factors))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["orders", "--matrix", "--backend", "float", "--format", fmt, "--", *texts])
+        assert code == 0
+        m = associator_matrix([parse_octonion(text, "float") for text in texts])
+        size = m.size
+        render = format_coefficients if fmt == "machine" else format_octonion
+        listing = [render(p) for p in m.products]
+        cells = [[render(m.entry(i, j)) for j in range(size)] for i in range(size)]
+        labels = _tree_labels(len(factors))
+        lines = stdout.getvalue().split("\n")
+        if fmt == "machine":
+            expected = [f"order_{k}\t{label}\t{text}" for k, (label, text) in
+                        enumerate(zip(labels, listing), start=1)]
+            expected += [f"{i + 1}\t{j + 1}\t{cell}" for i, row in enumerate(cells)
+                         for j, cell in enumerate(row)]
+            assert lines[2:-3] == expected
+        else:
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            expected = [f"  {k}: {label} = {text}" for k, (label, text) in
+                        enumerate(zip(labels, listing), start=1)]
+            expected.append(lines[1 + size])  # the table's heading
+            expected += [
+                f"[{i}] " + "   ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                for i, row in enumerate(cells, start=1)
+            ]
+            assert lines[1:-3] == expected
+
     @pytest.mark.parametrize("coefficient", [0, 5], ids=["diagonal", "off-diagonal"])
     def test_matrix_verification_can_fail(self, capsys, monkeypatch, coefficient):
         # 10x the tolerance added to coefficient 0 of the diagonal entry (1, 1)
@@ -598,6 +648,11 @@ class TestOrders:
 # cube overflows.
 SMALL = "0." + "0" * 99 + "1"
 LARGE = "1" + "0" * 150 + ".0"
+# 4e-160, whose squared norm, 1.6e-319, is subnormal: an inverse divided by
+# it would be wrong in the fifth digit.
+SUBNORMAL_NORM = "4/1" + "0" * 160
+SUBNORMAL_TEXT = "0." + "0" * 159 + "4"
+SUBNORMAL = "is subnormal, below the smallest normal binary64 number 2.2250738585072014e-308"
 
 
 class TestRangeRefusals:
@@ -621,11 +676,18 @@ class TestRangeRefusals:
              f"the squared norm of operand 1{'0' * 200} is beyond the binary64 range"),
             (["eval", "x^-1", "--let", "x=0." + "0" * 169 + "1"],
              f"the squared norm of operand 0.{'0' * 169}1 underflows binary64 to 0"),
+            (["eval", "x^-1*x", "--let", f"x={SUBNORMAL_NORM}"],
+             f"the squared norm of operand {SUBNORMAL_TEXT} {SUBNORMAL}"),
+            (["associator", SUBNORMAL_NORM, "e2", "e4"],
+             f"the squared norm of operand {SUBNORMAL_TEXT} {SUBNORMAL}"),
+            (["orders", SUBNORMAL_NORM, "e2", "e4", "--matrix"],
+             f"the squared norm of the product under order 1 {SUBNORMAL}"),
         ],
         ids=[
             "eval-overflow", "eval-underflow", "eval-chain-underflow", "bracket",
             "orders-overflow", "orders-underflow", "matrix-norm-overflow",
             "matrix-norm-underflow", "inverse-overflow", "inverse-underflow",
+            "inverse-subnormal-norm", "bracket-subnormal-norm", "matrix-subnormal-norm",
         ],
     )
     def test_cli_refusals(self, capsys, argv, message):
@@ -641,8 +703,9 @@ class TestRangeRefusals:
         [
             (1e200, "is beyond the binary64 range"),
             (1e-170, "underflows binary64 to 0"),
+            (4e-160, SUBNORMAL),
         ],
-        ids=["overflow", "underflow"],
+        ids=["overflow", "underflow", "subnormal"],
     )
     def test_inverse_refusals(self, value, message):
         from octalg import NonFiniteError, Octonion, kernels
@@ -654,6 +717,17 @@ class TestRangeRefusals:
         with pytest.raises(NonFiniteError) as rows:
             kernels.inverse([[1.0] * 8, [value] + [0.0] * 7])
         assert str(rows.value) == f"the squared norm of row 1 {message}"
+
+    def test_a_bracket_that_would_be_nan_is_refused(self):
+        # x*(y*z) overflows to inf and the product of the inverses underflows
+        # to 0, so their product is NaN in every coefficient.
+        from octalg import NonFiniteError, Octonion, multiplicative_associator
+
+        x = Octonion.from_real(1e100)
+        y = Octonion.unit(1, "float") * 1e100
+        z = Octonion.unit(2, "float") * 1e150
+        with pytest.raises(NonFiniteError, match="^the result is beyond the binary64 range$"):
+            multiplicative_associator(x, y, z)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1045,11 +1119,10 @@ class TestColdStart:
             ("check", "--cases", "1", "--format", "machine"),
             ("orders", "1+e1", "e2", "e4", "3-e5", "--backend", "float", "--format", "machine"),
             ("orders", "1+e1", "e2", "e4", "3-e5", "--backend", "float"),
-            ("orders", "1+e1", "e2", "e4", "--matrix", "--backend", "float"),
         ],
         ids=[
             "eval", "commutator", "associator", "listing", "matrix", "text-matrix", "check",
-            "float-listing", "float-text-listing", "float-text-matrix",
+            "float-listing", "float-text-listing",
         ],
     )
     def test_exact_commands_and_float_text_load_no_orjson(self, argv):
@@ -1060,6 +1133,11 @@ class TestColdStart:
             "orders", "1+e1", "e2", "e4", "--matrix", "--backend", "float",
             "--format", "machine",
         )
+        assert {"trees", "textform", "numpy", "orjson"} <= loaded
+
+    def test_float_text_matrix_loads_orjson(self):
+        # Both float matrix formats take their tokens from one orjson pass.
+        loaded = _loaded_modules("orders", "1+e1", "e2", "e4", "--matrix", "--backend", "float")
         assert {"trees", "textform", "numpy", "orjson"} <= loaded
 
 

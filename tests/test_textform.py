@@ -142,6 +142,10 @@ class TestParse:
     def test_error_table(self, text, backend, outcome, _):
         assert_outcome(parse_octonion, text, backend, outcome)
 
+    @pytest.mark.parametrize("text", ["0", "0.0", "0/5", "0." + "0" * 400, "-0/1" + "0" * 400])
+    def test_a_true_zero_is_not_an_underflow(self, text):
+        assert parse_octonion(text, "float") == Octonion.zero("float")
+
 
 def _reference_text(x: Octonion) -> str:
     """The text format written from the coefficient values, not from their
@@ -275,6 +279,10 @@ _FINITE_ROWS = st.lists(
 )
 
 
+def _refuse_per_value(value):
+    raise AssertionError("a finite row was rendered per value")
+
+
 class TestFloatRows:
     """`format_float_rows` writes each row as `format_scalar` does per value."""
 
@@ -322,14 +330,29 @@ class TestFloatRows:
     def test_scientific_tokens_expand_from_orjson_digits(self, monkeypatch):
         # Only a row holding ``null`` is rendered per value: a finite row's
         # scientific tokens are expanded from the dump's own digits.
-        def refuse(value):
-            raise AssertionError("a finite row was rendered per value")
-
-        monkeypatch.setattr(textform, "format_scalar", refuse)
+        monkeypatch.setattr(textform, "format_scalar", _refuse_per_value)
         row = [1.0, 1e-17, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert format_float_rows(np.array([row])) == [
             "1.0,0.00000000000000001,0.0,0.0,0.0,0.0,0.0,0.0"
         ]
+
+    @pytest.mark.parametrize("null", [False, True], ids=["finite", "null"])
+    def test_blocks_at_the_edges_of_the_scan(self, monkeypatch, null):
+        # Rows with no scientific token among rows with one at each edge of
+        # orjson's positional range; with a non-finite value, which orjson
+        # writes as ``null``, the whole block is rendered per value.
+        rows = [
+            [1.0, 0.5, -2.0, 0.0, 3.25, 0.0, 0.0, 7.0],
+            [1e-5, 9.999999999999999e-06, 1e16, 5e-324, -0.0, 1.0, -1e16, 0.1],
+            [2.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [-5e-324, -1e-5, 9999999999999998.0, 1e-17, 0.0, -0.0, 1e-4, 12.5],
+        ]
+        if null:
+            rows.insert(2, [math.nan, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1e-17])
+        expected = [",".join(map(format_scalar, row)) for row in rows]
+        if not null:
+            monkeypatch.setattr(textform, "format_scalar", _refuse_per_value)
+        assert format_float_rows(np.array(rows)) == expected
 
     def test_no_rows(self):
         assert format_float_rows(np.zeros((0, 8))) == []
