@@ -10,8 +10,6 @@ unit-norm factors that convert one evaluation order into the other:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import FLOAT, Octonion, _require_in_range
 from .errors import BackendMismatchError, InvalidWordError, ZeroInverseError
 
@@ -116,11 +114,13 @@ def expand_word(word, x: Octonion, y: Octonion) -> list[Octonion]:
 
     Each symbol's value is made once per word, and every occurrence of the
     symbol is that one (immutable) object."""
+    import fractions
+
     x._require_same_backend(y)
     made = [None] * len(WORD_SYMBOLS)
     values = []
     for symbol in word:
-        if isinstance(symbol, (int, float, Fraction)):
+        if isinstance(symbol, (int, float, fractions.Fraction)):
             values.append(_scalar_octonion(symbol, x.backend))
             continue
         # Found by ==, not by hash, so an unhashable symbol is refused too.
@@ -142,4 +142,6 @@ def _scalar_octonion(value, backend: str) -> Octonion:
         return Octonion.from_real(float(value))
     if isinstance(value, float):
         raise BackendMismatchError("float scalar in an exact-backend word")
-    return Octonion.from_real(Fraction(value))
+    import fractions
+
+    return Octonion.from_real(fractions.Fraction(value))

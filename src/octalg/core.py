@@ -5,9 +5,11 @@ common denominator, reduced so that the denominator and the numerators
 share no factor.  A product is then 64 integer multiplications and one
 gcd, and every algebraic identity the package verifies can be checked
 with tolerance 0.  ``Octonion.c`` presents the coefficients as reduced
-`fractions.Fraction` values.  The float backend stores binary64
-coefficients and exists for speed; comparisons on it require an explicit
-tolerance.
+`fractions.Fraction` values; only the methods that build or name a
+Fraction import `fractions` (a plain ``import``, the cheaper statement once
+it is loaded), so arithmetic on the stored ints never loads it.  The float
+backend stores binary64 coefficients and exists for speed; comparisons on
+it require an explicit tolerance.
 
 The multiplication table is not hardcoded.  It is derived at import time
 by doubling the scalars three times (reals -> complex -> quaternions ->
@@ -32,9 +34,8 @@ from __future__ import annotations
 import linecache
 import math
 import sys
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import (
     BackendMismatchError,
@@ -43,7 +44,10 @@ from .errors import (
     ZeroInverseError,
 )
 
-Scalar = Union[Fraction, float]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union["Fraction", float]
 
 DIM = 8
 
@@ -313,11 +317,14 @@ class Octonion:
             _set_v(self, values)
             _set_d(self, None)
             return
-        fractions = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
+        import fractions
+
+        Fraction = fractions.Fraction
+        exact = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
         # Each Fraction is reduced, so over the lcm of their denominators
         # the numerators already share no factor with it.
-        d = lcm(*(f.denominator for f in fractions))
-        _set_v(self, tuple(f.numerator * (d // f.denominator) for f in fractions))
+        d = lcm(*(f.denominator for f in exact))
+        _set_v(self, tuple(f.numerator * (d // f.denominator) for f in exact))
         _set_d(self, d)
 
     def __setattr__(self, name, value):
@@ -351,7 +358,9 @@ class Octonion:
     @classmethod
     def from_real(cls, value: Scalar) -> "Octonion":
         """Embed a scalar as a real octonion; backend follows the value type."""
-        if isinstance(value, (int, Fraction)):
+        import fractions
+
+        if isinstance(value, (int, fractions.Fraction)):
             # Both carry a reduced numerator and a positive denominator.
             return _new((value.numerator,) + (0,) * (DIM - 1), value.denominator)
         zero = 0.0 if isinstance(value, float) else 0
@@ -371,7 +380,9 @@ class Octonion:
         d = self._d
         if d is None:
             return self._v
-        return tuple(Fraction(n, d) for n in self._v)
+        import fractions
+
+        return tuple(fractions.Fraction(n, d) for n in self._v)
 
     def ratios(self) -> tuple:
         """Exact backend only: the 8 coefficients as reduced ``(numerator,
@@ -392,7 +403,11 @@ class Octonion:
     @property
     def real(self) -> Scalar:
         d = self._d
-        return self._v[0] if d is None else Fraction(self._v[0], d)
+        if d is None:
+            return self._v[0]
+        import fractions
+
+        return fractions.Fraction(self._v[0], d)
 
     def as_float(self) -> "Octonion":
         """A float-backend copy of this value."""
@@ -456,12 +471,12 @@ class Octonion:
             if self._d is None:
                 return _new(_product(self._v, other._v, 0.0), None)
             return _new(_product(self._v, other._v, 0), self._d * other._d)
-        if isinstance(other, (int, float, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
+        import fractions
+
+        if isinstance(other, (int, float, fractions.Fraction)):
             return self._scaled(other)
         return NotImplemented
 
@@ -482,7 +497,11 @@ class Octonion:
         """
         d = self._d
         n2 = _sum_of_squares(self._v)
-        return n2 if d is None else Fraction(n2, d * d)
+        if d is None:
+            return n2
+        import fractions
+
+        return fractions.Fraction(n2, d * d)
 
     def inverse(self) -> "Octonion":
         """The two-sided multiplicative inverse, conjugate / norm_sq.

@@ -5,7 +5,9 @@ An octonion is written as a signed sum of terms, one term per basis unit::
     2 - 3/4e1 + e7
 
 A sign must be followed by a term.  Coefficients are decimal integers, fractions ``p/q``, or (float backend
-only) plain decimal floats.  On the float backend every coefficient, and
+only) plain decimal floats.  An exact literal is read straight into the
+backend's own form, integer numerators over one reduced denominator, and
+builds no Fraction.  On the float backend every coefficient, and
 every sum of terms on one unit, must be finite in binary64; anything
 larger raises NonFiniteError, as does a nonzero number that rounds to 0.
 The real unit is a bare coefficient; ``e1`` to ``e7`` name the imaginary
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
-from fractions import Fraction
+from math import lcm
 
-from .core import DIM, EXACT, FLOAT, Octonion
+from .core import DIM, EXACT, FLOAT, Octonion, _new
 from .errors import NonFiniteError, ParseError
 
 WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -41,16 +42,23 @@ def _scan_word(text: str, i: int) -> str | None:
     return m.group(0) if m else None
 
 
-def _to_float(value, offset: int) -> float:
-    """``value``, a decimal text or a Fraction, as binary64; NonFiniteError
-    when it is beyond that range, or nonzero and rounds to 0."""
-    try:
-        result = float(value)
-    except OverflowError:  # an int or Fraction too large for a float
-        result = math.inf
+def _to_float(number, offset: int) -> float:
+    """``number``, a decimal text or an exact ``(numerator, denominator)``
+    int pair, as binary64; NonFiniteError when it is beyond that range, or
+    nonzero and rounds to 0."""
+    if isinstance(number, str):
+        result, nonzero = float(number), number.strip("0.")
+    else:
+        n, d = number
+        nonzero = n
+        try:
+            # int / int is correctly rounded, as float(Fraction(n, d)) is.
+            result = n / d
+        except OverflowError:  # a quotient too large for a float
+            result = math.inf
     if not math.isfinite(result):
         raise NonFiniteError(f"the number at offset {offset} is beyond the binary64 range")
-    if not result and Fraction(value):
+    if not result and nonzero:
         raise NonFiniteError(f"the number at offset {offset} underflows binary64 to 0")
     return result
 
@@ -59,13 +67,15 @@ def _scan_number(text: str, i: int, backend: str):
     """Scan an unsigned number at position i.
 
     Returns (value, end) or None when no digit starts here.  The value is a
-    Fraction on the exact backend and a float on the float backend.
+    ``(numerator, denominator)`` int pair on the exact backend, not
+    necessarily reduced, and a float on the float backend.
     """
     m = _INT_RE.match(text, i)
     if not m:
         return None
     end = m.end()
     numerator = int(m.group(0))
+    denominator = 1
     slash = _skip_ws(text, end)
     if slash < len(text) and text[slash] == "/":
         den_start = _skip_ws(text, slash + 1)
@@ -75,7 +85,6 @@ def _scan_number(text: str, i: int, backend: str):
         denominator = int(m2.group(0))
         if denominator == 0:
             raise ParseError(den_start, ("nonzero denominator",), text[den_start])
-        value = Fraction(numerator, denominator)
         end = m2.end()
     elif end < len(text) and text[end] == ".":
         if backend != FLOAT:
@@ -86,11 +95,9 @@ def _scan_number(text: str, i: int, backend: str):
         if not m2:
             raise ParseError(end + 1, ("fractional digits",), text[end + 1 : end + 2])
         return _to_float(text[i : m2.end()], i), m2.end()
-    else:
-        value = Fraction(numerator)
     if backend == FLOAT:
-        return _to_float(value, i), end
-    return value, end
+        return _to_float((numerator, denominator), i), end
+    return (numerator, denominator), end
 
 
 def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion, int]:
@@ -104,9 +111,8 @@ def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion
     where it should start, raised after the float sum check.  Returns the
     value and the end of the last term.
     """
-    one = 1.0 if backend == FLOAT else Fraction(1)
-    zero = 0.0 if backend == FLOAT else Fraction(0)
-    coeffs = [zero] * DIM
+    one = 1.0 if backend == FLOAT else (1, 1)
+    terms = []  # (unit, number, negative), in the order read
     i = start = _skip_ws(text, start)
     missing = None
     while True:
@@ -128,8 +134,11 @@ def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion
         else:
             missing = j
             break
-        coeffs[unit] += -value if negative else value
+        terms.append((unit, value, negative))
     if backend == FLOAT:
+        coeffs = [0.0] * DIM
+        for unit, value, negative in terms:
+            coeffs[unit] += -value if negative else value
         for k, v in enumerate(coeffs):
             if not math.isfinite(v):
                 raise NonFiniteError(
@@ -138,7 +147,15 @@ def scan_octonion(text: str, start: int, backend: str = EXACT) -> tuple[Octonion
                 )
     if missing is not None:
         raise ParseError(missing, ("number", "unit e0..e7"), text[missing : missing + 1])
-    return Octonion(coeffs), i
+    if backend == FLOAT:
+        return _new(coeffs, None), i
+    # Every term over the lcm of the denominators; _new reduces the sums by
+    # their gcd to the canonical form Octonion(Fraction sums) has.
+    d = lcm(*[den for _, (_, den), _ in terms])
+    coeffs = [0] * DIM
+    for unit, (n, den), negative in terms:
+        coeffs[unit] += (-n if negative else n) * (d // den)
+    return _new(coeffs, d), i
 
 
 def parse_octonion(text: str, backend: str = EXACT) -> Octonion:
@@ -154,7 +171,14 @@ def _positional(text: str) -> str:
     """A float's shortest round-trip digits ``text``, written positionally:
     text in scientific notation (``1e-05``, ``1e-17``) is expanded to the
     same digits (``0.00001``), so it still round-trips and re-parses."""
-    return format(Decimal(text), "f") if "e" in text else text
+    if "e" not in text:
+        return text
+    # Imported here, since only such a text needs it, and as a plain import:
+    # a `from` import of a loaded module costs about 0.7 µs a call, against
+    # 0.09 µs, and a float matrix expands hundreds of such tokens.
+    import decimal
+
+    return format(decimal.Decimal(text), "f")
 
 
 def format_scalar(value: float) -> str:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from octalg import AssociatorMatrix, NonFiniteError, Octonion, ParseError
-from octalg.exprs import Var
+from octalg.exprs import Literal, Var
 
 # Every p/q with 1 <= q <= 9 and |p/q| <= 9, drawn without st.fractions,
 # whose drawing dominates the suite's run time.
@@ -106,6 +106,15 @@ LITERAL_ERRORS = [
      None),
     ("e1 - 3 / 1" + "0" * 400 + "e2", "float",
      (NonFiniteError, None, None, None, "the number at offset 5 underflows binary64 to 0"),
+     None),
+    ("0/7", "exact", Octonion.zero(), Literal(Octonion.zero())),
+    ("0/7", "float", Octonion.zero("float"), Literal(Octonion.zero("float"))),
+    # An n/d literal is the correctly rounded quotient, even where n and d
+    # alone are beyond binary64; an integer beyond it is refused.
+    ("1" + "0" * 400 + "/1" + "0" * 399, "float", Octonion.from_real(10.0),
+     Literal(Octonion.from_real(10.0))),
+    ("1" + "0" * 400, "float",
+     (NonFiniteError, None, None, None, "the number at offset 0 is beyond the binary64 range"),
      None),
     # The sum check names the literal's first character, after leading
     # whitespace, in a literal and in an expression alike.

@@ -398,24 +398,22 @@ class TestOrders:
             ("orders", *MATRIX_FACTORS[:5], "--matrix"),
             ("orders", *MATRIX_FACTORS),
             ("eval", "(1/2 - 3/4e1 + e5)*(2/3e2 - e7)"),
+            ("eval", "x*y^-1", "--let", "x=1/2 - 3/4e1", "--let", "y=2/3e2 + 5/6e1 - e7"),
+            ("commutator", "1/2 - 3/4e1 + e5", "2/3e2 - e7"),
+            ("associator", "1/2 - 3/4e1", "2/3e2 - e7", "e4 + 5/9e3"),
+            ("associator", "1/2 - 3/4e1", "2/3e2 - e7", "e4 + 5/9e3", "--additive"),
         ],
-        ids=["text-matrix", "listing", "eval"],
+        ids=[
+            "text-matrix", "listing", "eval", "eval-let", "commutator", "associator",
+            "additive-associator",
+        ],
     )
-    def test_exact_text_output_builds_no_fraction_but_parsing(self, capsys, fraction_calls, argv):
-        from octalg.exprs import parse_with_info
-        from octalg.textform import parse_octonion
-
-        if argv[0] == "eval":
-            parse_with_info(argv[1], "exact")
-        else:
-            for text in argv[1:]:
-                if text != "--matrix":
-                    parse_octonion(text)
-        parsed = len(fraction_calls)
-        assert parsed > 0
+    def test_exact_commands_build_no_fraction(self, capsys, fraction_calls, argv):
+        # Literals are read straight into ints over one denominator, and
+        # rendered from `Octonion.ratios`: not even parsing builds one.
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out
-        assert len(fraction_calls) == 2 * parsed
+        assert fraction_calls == []
 
     def test_exact_rendering_builds_no_fraction(self, fraction_calls):
         from octalg.textform import format_coefficients, format_octonion, parse_octonion
@@ -1046,14 +1044,16 @@ class TestParserReuse:
 
 # Run in a fresh interpreter, since this test session has imported every
 # module: runs the command line on sys.argv[1:] with its output discarded,
-# then prints the exit code and the loaded octalg, numpy and orjson modules.
+# then prints the exit code and the loaded octalg, numpy, orjson, fractions
+# and decimal modules.
 _LOADED_MODULES = """
 import contextlib, io, sys
 from octalg import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *sorted(
-    m for m in sys.modules if m in ("numpy", "orjson") or m.split(".")[0] == "octalg"
+    m for m in sys.modules
+    if m in ("numpy", "orjson", "fractions", "decimal") or m.split(".")[0] == "octalg"
 ))
 """
 
@@ -1127,6 +1127,29 @@ class TestColdStart:
     )
     def test_exact_commands_and_float_text_load_no_orjson(self, argv):
         assert "orjson" not in _loaded_modules(*argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "(e1*e2)*e4"),
+            ("eval", "x*y~*z^-1", "--let", "x=1/2+e1", "--let", "y=e2", "--let", "z=e4"),
+            ("commutator", "1+e1", "2/3e2"),
+            ("associator", "1+e1", "e2", "e4", "--multiplicative"),
+            ("associator", "1+e1", "e2", "e4", "--additive"),
+            ("orders", "1+e1", "e2", "1/2e4", "3-e5"),
+            ("orders", "1+e1", "e2", "1/2e4", "3-e5", "--matrix"),
+            ("orders", "1+e1", "e2", "1/2e4", "3-e5", "--matrix", "--format", "machine"),
+        ],
+        ids=[
+            "eval", "eval-let", "commutator", "associator", "additive-associator", "listing",
+            "text-matrix", "matrix",
+        ],
+    )
+    def test_exact_commands_load_no_fractions_or_decimal(self, argv):
+        # Exact literals are read into ints and rendered from them; only
+        # `check` and the float matrix load `fractions` or `decimal`.  The
+        # bare import is pinned by test_import_loads_only_the_parser_modules.
+        assert not _loaded_modules(*argv) & {"fractions", "decimal"}
 
     def test_float_machine_matrix_loads_orjson(self):
         loaded = _loaded_modules(

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from octalg import (
 )
 from octalg.core import _new
 from octalg import textform
+from octalg.exprs import Literal, parse
 from octalg.textform import format_float_rows, format_scalar
 from octalg.trees import associator_matrix
 
@@ -45,6 +47,21 @@ _FLOATS = st.floats() | _EDGE_FLOATS
 # largest finite), each sign, and the signed zeros.
 _EXTREMES = [5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 0.0]
 _EXTREME_FLOATS = st.sampled_from(_EXTREMES + [-v for v in _EXTREMES])
+
+
+# Terms of an exact literal: (sign, numerator or None for a lone unit,
+# denominator or None for an integer, unit name, whitespace).  Only the first
+# term may leave out its sign, and a lone unit needs its name.
+_TERM = st.tuples(
+    st.sampled_from(["+", "-"]),
+    st.none() | st.integers(0, 10**40),
+    st.none() | st.integers(1, 10**40),
+    st.sampled_from(["", "e0", "e1", "e3", "e7"]),
+    st.sampled_from(["", " ", "\t "]),
+).filter(lambda t: t[1] is not None or t[3])
+_EXACT_TERMS = st.tuples(st.sampled_from(["", "+", "-"]), _TERM, st.lists(_TERM, max_size=7)).map(
+    lambda t: [(t[0], *t[1][1:]), *t[2]]
+)
 
 
 class TestParse:
@@ -145,6 +162,44 @@ class TestParse:
     @pytest.mark.parametrize("text", ["0", "0.0", "0/5", "0." + "0" * 400, "-0/1" + "0" * 400])
     def test_a_true_zero_is_not_an_underflow(self, text):
         assert parse_octonion(text, "float") == Octonion.zero("float")
+
+    @given(_EXACT_TERMS)
+    @example([("", 3, 6, "", ""), ("-", 1, 2, "", ""), ("+", 0, 7, "e1", " ")])
+    @example([("", 10**40, 3 * 10**40, "e5", ""), ("+", 2, 3, "e5", "\t")])
+    def test_exact_literal_is_its_fraction_sums(self, terms):
+        # The value built the old way: an Octonion of each unit's Fraction
+        # sum, which Octonion reduces to its canonical form.
+        sums = [Fraction(0)] * 8
+        text = ""
+        for sign, n, d, unit_name, ws in terms:
+            value = Fraction(1) if n is None else Fraction(n, d or 1)
+            k = int(unit_name[1]) if unit_name else 0
+            sums[k] += -value if sign == "-" else value
+            number = "" if n is None else f"{n}{ws}/{ws}{d}" if d else str(n)
+            text += f"{ws}{sign}{ws}{number}{ws}{unit_name}"
+        expected = Octonion(sums)
+        value = parse_octonion(text)
+        assert value == expected
+        assert (value._d, value._v) == (expected._d, expected._v)
+        assert value._d > 0 and gcd(value._d, *value._v) == 1
+        assert parse(text, "exact") == Literal(expected)
+
+    @given(st.integers(0, 10**330), st.integers(1, 10**330))
+    @example(10**400, 10**399)
+    @example(1, 3 * 10**323)
+    @example(2**1024 - 2**970, 1)
+    def test_float_ratio_is_the_rounded_fraction(self, n, d):
+        try:
+            expected = float(Fraction(n, d))
+        except OverflowError:
+            expected = math.inf
+        if not math.isfinite(expected) or (n and not expected):
+            with pytest.raises(NonFiniteError, match="binary64"):
+                parse_octonion(f"{n}/{d}", "float")
+            return
+        value = parse_octonion(f"{n}/{d}", "float")
+        assert value.real.hex() == expected.hex()
+        assert parse(f"{n}/{d}", "float") == Literal(value)
 
 
 def _reference_text(x: Octonion) -> str:
