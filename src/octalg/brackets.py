@@ -21,13 +21,17 @@ def _require_nonzero(**operands: Octonion) -> None:
 
 
 def additive_commutator(x: Octonion, y: Octonion) -> Octonion:
-    """x*y - y*x; zero exactly when x and y commute."""
-    return x * y - y * x
+    """x*y - y*x; zero exactly when x and y commute.  A float result with a
+    coefficient that is not finite raises NonFiniteError; a 0 is kept, since
+    commuting operands make a true one."""
+    return _require_in_range(x * y - y * x)
 
 
 def additive_associator(x: Octonion, y: Octonion, z: Octonion) -> Octonion:
-    """x*(y*z) - (x*y)*z; zero exactly when the triple associates."""
-    return x * (y * z) - (x * y) * z
+    """x*(y*z) - (x*y)*z; zero exactly when the triple associates.  A float
+    result with a coefficient that is not finite raises NonFiniteError; a 0
+    is kept, since associating operands make a true one."""
+    return _require_in_range(x * (y * z) - (x * y) * z)
 
 
 def multiplicative_commutator(x: Octonion, y: Octonion) -> Octonion:
@@ -74,8 +78,9 @@ def schafer_residual(a: Octonion, x: Octonion, y: Octonion, z: Octonion) -> Octo
 
         a*[x,y,z] + [a,x,y]*z  ==  [a*x,y,z] - [a,x*y,z] + [a,x,y*z]
 
-    with [.,.,.] the additive associator.  Always returns zero; the
-    function exists so the identity is a first-class, fuzzable check.
+    with [.,.,.] the additive associator.  Always returns zero, up to float
+    rounding; the identity suite compares the two sides, `_schafer_sides`,
+    and the tests pin this residual's bits.
 
     This is Teichmüller's identity, which holds in every nonassociative
     algebra: any bilinear product satisfies it, whatever its table.  So it

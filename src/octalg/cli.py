@@ -140,9 +140,7 @@ def _flavor_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _emit_value(value: Octonion, fmt: str) -> None:
-    """Print ``value``.  A result the library does not range-check, that of
-    ``eval`` or of an additive bracket, is passed through `_require_in_range`
-    first; the multiplicative brackets refuse their own."""
+    """Print ``value`` as the result line of ``fmt``."""
     from .textform import format_coefficients, format_octonion
 
     if fmt == "machine":
@@ -209,7 +207,7 @@ def _cmd_commutator(args, tolerance) -> int:
     x = parse_octonion(args.x, args.backend)
     y = parse_octonion(args.y, args.backend)
     if args.flavor == "additive":
-        _emit_value(_require_in_range(additive_commutator(x, y)), args.fmt)
+        _emit_value(additive_commutator(x, y), args.fmt)
         return EXIT_OK
     c = multiplicative_commutator(x, y)
     _emit_value(c, args.fmt)
@@ -226,7 +224,7 @@ def _cmd_associator(args, tolerance) -> int:
     y = parse_octonion(args.y, args.backend)
     z = parse_octonion(args.z, args.backend)
     if args.flavor == "additive":
-        _emit_value(_require_in_range(additive_associator(x, y, z)), args.fmt)
+        _emit_value(additive_associator(x, y, z), args.fmt)
         return EXIT_OK
     a = multiplicative_associator(x, y, z)
     _emit_value(a, args.fmt)
@@ -252,7 +250,6 @@ def _cmd_orders(args, tolerance) -> int:
     from .trees import (
         _machine_blocks,
         _product_texts,
-        _require_representable,
         _text_lines,
         _texts,
         _tree_labels,
@@ -273,7 +270,6 @@ def _cmd_orders(args, tolerance) -> int:
     else:
         matrix = None
         products = tree_products(factors)
-        _require_representable(factors, products)
         texts = _texts(products, machine)
     orders = zip(_tree_labels(n), texts)
     if machine:

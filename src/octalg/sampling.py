@@ -92,15 +92,14 @@ def random_octonion(rng: random.Random, backend: str = EXACT, nonzero: bool = Fa
 
 
 _WORD_LETTERS = WORD_SYMBOLS + ("scalar",)
+MAX_WORD_LENGTH = 8
 
 
-def random_word(rng: random.Random, max_length: int = 8) -> list:
-    """A random two-generator word of length 1..max_length."""
-    if max_length < 1:
-        raise ValueError(f"max_length must be at least 1, got {max_length}")
+def random_word(rng: random.Random) -> list:
+    """A random two-generator word of length 1..MAX_WORD_LENGTH."""
     getrandbits = rng.getrandbits
     word = []
-    for _ in range(1 + _below(getrandbits, max_length)):
+    for _ in range(1 + _below(getrandbits, MAX_WORD_LENGTH)):
         letter = _WORD_LETTERS[_below(getrandbits, len(_WORD_LETTERS))]
         if letter == "scalar":
             word.append(random_scalar(rng, EXACT, nonzero=True))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .core import (
     EXACT,
@@ -205,6 +205,9 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     keeps that: of equal floats only +0.0 and -0.0 differ in bits, and a
     product never holds -0.0, since each of its sums starts from +0.0; a
     NaN equals nothing, so a product holding one is never merged.
+
+    A float product that is not `_in_range` of ``factors`` raises
+    NonFiniteError for the first such order, "the product under order k".
     """
     _require_enumerable(len(factors))
     values, tables = _distinct_products(factors)
@@ -220,7 +223,9 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
             for b in rights
         ]
 
-    return [values[k] for k in _span_fold([0] * len(factors), join)]
+    products = [values[k] for k in _span_fold([0] * len(factors), join)]
+    _require_representable(factors, enumerate(products, start=1))
+    return products
 
 
 def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:
@@ -229,17 +234,23 @@ def _require_nonzero_factors(factors: Sequence[Octonion]) -> None:
             raise ZeroInverseError(f"factor {k} is zero; all factors must be invertible")
 
 
-def _require_representable(factors: Sequence[Octonion], products: Sequence[Octonion]) -> None:
-    """NonFiniteError naming the first of ``products``, the `tree_products`
-    of ``factors``, by its 1-based order, that is not `_in_range`."""
-    for k, p in enumerate(products, start=1):
+def _require_representable(factors: Sequence[Octonion], orders: Iterable) -> None:
+    """NonFiniteError naming the first product of ``factors`` in ``orders``,
+    ``(order, product)`` pairs with 1-based orders, that is not `_in_range`."""
+    for k, p in orders:
         if not _in_range(p, factors):
             raise _range_error(f"the product under order {k}", p)
 
 
 def generalized_associator(i: int, j: int, factors: Sequence[Octonion]) -> Octonion:
     """inverse(p_i) * p_j, where p_k is the product under the k-th canonical
-    tree; multiplying p_i by the result gives p_j."""
+    tree; multiplying p_i by the result gives p_j.
+
+    A zero factor raises ZeroInverseError.  A float p_i or p_j that is not
+    `_in_range` of ``factors`` raises NonFiniteError, "the product under
+    order k" with k 1-based, before the inverse, which refuses a squared norm
+    it cannot divide by.  The result, a unit-norm product of finite values,
+    is then finite."""
     trees = enumerate_trees(len(factors))
     if not (0 <= i < len(trees) and 0 <= j < len(trees)):
         raise IndexError(
@@ -248,6 +259,7 @@ def generalized_associator(i: int, j: int, factors: Sequence[Octonion]) -> Octon
     _require_nonzero_factors(factors)
     p_i = evaluate(trees[i], factors)
     p_j = evaluate(trees[j], factors)
+    _require_representable(factors, ((i + 1, p_i), (j + 1, p_j)))
     return p_i.inverse() * p_j
 
 
@@ -290,8 +302,9 @@ class AssociatorMatrix(_Record):
 def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
     """All pairwise order-conversion factors of ``factors``, from their
     `tree_products`.  A factor count outside 1..MAX_MATRIX_FACTORS or a zero
-    factor is refused before any product; on float, so is a product or a
-    squared norm of one beyond the binary64 range, after the products."""
+    factor is refused before any product.  On float, `tree_products`
+    refuses a product that left the binary64 range, and a squared norm of
+    one that is 0, subnormal or not finite is refused after the products."""
     n = len(factors)
     if not 1 <= n <= MAX_MATRIX_FACTORS:
         raise OutOfRangeError(
@@ -300,7 +313,6 @@ def associator_matrix(factors: Sequence[Octonion]) -> AssociatorMatrix:
     _require_nonzero_factors(factors)
     products = tree_products(factors)
     if factors[0].backend == FLOAT:
-        _require_representable(factors, products)
         flat = _entries_float(products)
     else:
         inverses = [p.inverse() for p in products]

@@ -161,7 +161,7 @@ def test_criterion_08_biassociativity_of_words():
     for _ in range(500):
         x = random_octonion(gen, nonzero=True)
         y = random_octonion(gen, nonzero=True)
-        word = random_word(gen, max_length=8)
+        word = random_word(gen)
         values = expand_word(word, x, y)
         trees = enumerate_trees(len(word))
         reference = evaluate(trees[0], values)

@@ -181,14 +181,14 @@ class TestSchaferResidual:
 
     @staticmethod
     def _five_associators(a, x, y, z):
-        # One `additive_associator` per bracket: the reference the shared
-        # subproducts must reproduce bit for bit.
-        lhs = a * additive_associator(x, y, z) + additive_associator(a, x, y) * z
-        rhs = (
-            additive_associator(a * x, y, z)
-            - additive_associator(a, x * y, z)
-            + additive_associator(a, x, y * z)
-        )
+        # Each bracket written out as ``u*(v*w) - (u*v)*w``, the formula of
+        # `additive_associator`, which refuses the non-finite edge operands:
+        # the reference the shared subproducts must reproduce bit for bit.
+        def assoc(u, v, w):
+            return u * (v * w) - (u * v) * w
+
+        lhs = a * assoc(x, y, z) + assoc(a, x, y) * z
+        rhs = assoc(a * x, y, z) - assoc(a, x * y, z) + assoc(a, x, y * z)
         return lhs - rhs
 
     @given(float_octonions, float_octonions, float_octonions, float_octonions)

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from octalg import Octonion
+from octalg import Octonion, sampling
 from octalg.sampling import (
     DENOMINATOR_RANGE,
+    MAX_WORD_LENGTH,
     NUMERATOR_RANGE,
     random_octonion,
     random_scalar,
@@ -107,18 +108,16 @@ def test_scalar_matches_randint(backend, nonzero):
         assert fast.getstate() == slow.getstate()
 
 
-@pytest.mark.parametrize("max_length", [1, 3, 8, 9])
-def test_word_matches_randint_and_choice(max_length):
+@pytest.mark.parametrize("max_length", [1, 3, MAX_WORD_LENGTH, 9])
+def test_word_matches_randint_and_choice(monkeypatch, max_length):
+    # random_word reads MAX_WORD_LENGTH when called, so patching the constant
+    # checks the draw at lengths other than the default one.
+    monkeypatch.setattr(sampling, "MAX_WORD_LENGTH", max_length)
     for seed in range(200):
         fast, slow = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            assert random_word(fast, max_length) == _randint_word(slow, max_length)
+            assert random_word(fast) == _randint_word(slow, max_length)
         assert fast.getstate() == slow.getstate()
-
-
-def test_word_refuses_an_empty_length_range():
-    with pytest.raises(ValueError, match="max_length"):
-        random_word(random.Random(0), 0)
 
 
 # sha256 over the first 500 draws of random.Random(20240607), recorded with
@@ -145,7 +144,7 @@ def test_golden_stream(backend):
 
 
 # sha256 over the first 500 `random_word` draws of random.Random(20240607)
-# at the default max_length, recorded with the randint/choice sampler:
+# (length 1..8), recorded with the randint/choice sampler:
 # per draw, repr(word) followed by a newline.
 GOLDEN_WORDS = "524032a4b3f68af79bd6f8bf6bf2368d3082a825537adcdc3f269f17b622dbff"
 
