@@ -10,7 +10,9 @@ unit-norm factors that convert one evaluation order into the other:
 
 from __future__ import annotations
 
-from .core import FLOAT, Octonion, _require_in_range
+import math
+
+from .core import FLOAT, Octonion, _range_error, _require_in_range
 from .errors import BackendMismatchError, InvalidWordError, ZeroInverseError
 
 
@@ -143,8 +145,17 @@ def expand_word(word, x: Octonion, y: Octonion) -> list[Octonion]:
 
 
 def _scalar_octonion(value, backend: str) -> Octonion:
+    """``value`` as a real octonion of ``backend``.  On float, a scalar that
+    binary64 cannot hold, beyond its range or nonzero and rounding to 0,
+    raises NonFiniteError, as the parser refuses such a number."""
     if backend == FLOAT:
-        return Octonion.from_real(float(value))
+        try:
+            scalar = float(value)
+        except OverflowError:  # an int or Fraction too large for a float
+            raise _range_error("a scalar in the word", math.inf) from None
+        if value and not scalar:
+            raise _range_error("a scalar in the word", scalar)
+        return Octonion.from_real(scalar)
     if isinstance(value, float):
         raise BackendMismatchError("float scalar in an exact-backend word")
     import fractions

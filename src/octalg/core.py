@@ -606,14 +606,27 @@ def _postorder(root) -> list:
     return order
 
 
+def _fold(root, combine):
+    """The tree under ``root`` evaluated bottom up: each record's result is
+    ``combine(record, *results)``, with its children's results in
+    `_Record._children` order, and the root's is returned.  Records come
+    from `_postorder`, so depth is not bounded by the recursion limit."""
+    results = []
+    for node in _postorder(root):
+        first = len(results) - len(node._children)
+        results[first:] = [combine(node, *results[first:])]
+    return results[0]
+
+
 class _Record:
     """Base of the package's small records, the expression and tree nodes
     among them.
 
     A subclass lists its fields in ``__slots__``, names those that hold
     sub-records in ``_children``, and sets them in its ``__init__`` through
-    ``object.__setattr__``.  Instances refuse assignment, and compare, hash
-    and show as ``Name(field=value, ...)`` on `_postorder`, at any depth.
+    ``object.__setattr__``.  Instances refuse assignment, compare and hash on
+    `_postorder`, and show as ``Name(field=value, ...)`` through `_fold`, at
+    any depth.
     """
 
     __slots__ = ()
@@ -650,17 +663,15 @@ class _Record:
         return _from_key, (self._key(),)
 
     def __repr__(self):
-        texts = []
-        for node in _postorder(self):
-            first = len(texts) - len(node._children)
-            shown = dict(zip(node._children, texts[first:]))
-            del texts[first:]
-            fields = ", ".join(
-                f"{name}={shown.get(name) or repr(getattr(node, name))}"
-                for name in node.__slots__
-            )
-            texts.append(f"{node.__class__.__qualname__}({fields})")
-        return texts[0]
+        return _fold(self, _record_text)
+
+
+def _record_text(node, *texts) -> str:
+    """``Name(field=value, ...)`` for ``node``, each child field shown as
+    its text in ``texts``."""
+    shown = dict(zip(node._children, texts))
+    fields = ", ".join(f"{k}={shown.get(k) or repr(getattr(node, k))}" for k in node.__slots__)
+    return f"{node.__class__.__qualname__}({fields})"
 
 
 def _from_key(key):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import EXACT, Octonion, _Record, _postorder
+from .core import EXACT, Octonion, _Record, _fold
 from .errors import ParseError, ReservedIdentifierError, UnboundVariableError
 from .textform import UNIT_NAMES, WORD_RE, _scan_word, _skip_ws, format_octonion, scan_octonion
 
@@ -259,22 +259,21 @@ def eval_expr(expr: Expr, env: Environment | None = None) -> Octonion:
     """Structurally evaluate; products follow the tree exactly."""
     if env is None:
         env = Environment()
-    values = []
-    for e in _postorder(expr):
+
+    def value(e, *operands):
         if isinstance(e, Literal):
-            values.append(e.value)
-        elif isinstance(e, Var):
-            values.append(env.lookup(e.name))
-        elif isinstance(e, Conj):
-            values.append(values.pop().conjugate())
-        elif isinstance(e, Inv):
-            values.append(values.pop().inverse())
-        elif isinstance(e, Product):
-            right = values.pop()
-            values.append(values.pop() * right)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-    return values[0]
+            return e.value
+        if isinstance(e, Var):
+            return env.lookup(e.name)
+        if isinstance(e, Conj):
+            return operands[0].conjugate()
+        if isinstance(e, Inv):
+            return operands[0].inverse()
+        if isinstance(e, Product):
+            return operands[0] * operands[1]
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return _fold(expr, value)
 
 
 def _is_multi_term(text: str) -> bool:
@@ -290,21 +289,21 @@ def _render_tight(e: Expr, text: str) -> str:
 
 def render_expr(e: Expr) -> str:
     """Render with minimal parentheses; reparsing gives an equal tree."""
-    texts = []
-    for node in _postorder(e):
-        if isinstance(node, Literal):
-            texts.append(format_octonion(node.value))
-        elif isinstance(node, Var):
-            texts.append(node.name)
-        elif isinstance(node, Product):
-            right = _render_tight(node.right, texts.pop())
-            left = texts.pop()
-            if isinstance(node.left, Literal) and _is_multi_term(left):
-                left = f"({left})"
-            texts.append(f"{left}*{right}")
-        elif isinstance(node, (Conj, Inv)):
-            suffix = "~" if isinstance(node, Conj) else "^-1"
-            texts.append(_render_tight(node.inner, texts.pop()) + suffix)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return texts[0]
+    return _fold(e, _expr_text)
+
+
+def _expr_text(node: Expr, *operands: str) -> str:
+    """`render_expr`'s rule for ``node``, whose operands render as ``operands``."""
+    if isinstance(node, Literal):
+        return format_octonion(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Product):
+        left, right = operands
+        if isinstance(node.left, Literal) and _is_multi_term(left):
+            left = f"({left})"
+        return f"{left}*{_render_tight(node.right, right)}"
+    if isinstance(node, (Conj, Inv)):
+        suffix = "~" if isinstance(node, Conj) else "^-1"
+        return _render_tight(node.inner, operands[0]) + suffix
+    raise TypeError(f"not an expression node: {node!r}")

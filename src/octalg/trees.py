@@ -13,10 +13,11 @@ from that fold.  For n = 4 this yields, in order:
     x1*(x2*(x3*x4)), x1*((x2*x3)*x4), (x1*x2)*(x3*x4),
     (x1*(x2*x3))*x4, ((x1*x2)*x3)*x4
 
-Products fold over each span's distinct values, not over its trees
-(`_distinct_products`): the bi-associativity check reads only the whole
-product's distinct values, and `tree_products` reads one value per tree
-from the fold's tables for the callers that list every order.
+The bi-associativity check reads only the whole product's distinct
+values, which `_distinct_products` folds over each span's distinct values,
+not over its trees.  `tree_products` lists one value per tree for the
+callers that list every order, and multiplies each distinct pair of a
+span's operands once.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     _MIN_NORMAL,
     _new,
     _in_range,
+    _fold,
     _postorder,
     _range_error,
     resolve_tolerance,
@@ -131,15 +133,16 @@ def right_comb(n: int) -> ProductTree:
 
 def render_tree(tree: ProductTree) -> str:
     """Render as an expression, e.g. ``(x1*x2)*x3``: leaf k as ``xk``."""
-    texts = []
-    for t in _postorder(tree):
-        if isinstance(t, Leaf):
-            texts.append(f"x{t.position}")
-        else:
-            right = texts.pop()
-            texts.append(f"({texts.pop()}*{right})")
-    text = texts[0]
+    text = _fold(tree, _tree_text)
     return text if isinstance(tree, Leaf) else text[1:-1]
+
+
+def _tree_text(t, *operands) -> str:
+    """`render_tree`'s rule: ``xk`` for leaf k, and a node's two operand
+    texts joined by ``*`` inside one pair of parentheses."""
+    if isinstance(t, Leaf):
+        return f"x{t.position}"
+    return "({}*{})".format(*operands)
 
 
 def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
@@ -148,57 +151,44 @@ def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
         raise ShapeMismatchError(
             f"tree leaves must be positions 1..{len(factors)} in order"
         )
-    values = []
-    for t in _postorder(tree):
+
+    def value(t, *operands):
         if isinstance(t, Leaf):
-            values.append(factors[t.position - 1])
-        else:
-            right = values.pop()
-            values.append(values.pop() * right)
-    return values[0]
+            return factors[t.position - 1]
+        return operands[0] * operands[1]
+
+    return _fold(tree, value)
 
 
-def _distinct_products(factors: Sequence[Octonion]) -> tuple[list[Octonion], list]:
-    """``(values, tables)``: the distinct products of ``factors`` over every
-    tree, in the order the canonical trees first reach them, and the fold's
-    record of how each span's values were made.
+def _distinct_products(factors: Sequence[Octonion]) -> list[Octonion]:
+    """The distinct products of ``factors`` over every tree, in the order
+    the canonical trees first reach them.
 
-    Each span keeps its distinct products, and for each split a table whose
-    row ``a``, column ``b`` is the index in that list of the product of
-    left value ``a`` and right value ``b``.  Every such pair is multiplied
-    once, and equal products are kept as one shared object (safe: an
-    Octonion is immutable).  Pairs are visited split by split in row-major
-    order, which is the order the canonical trees first reach them, since
-    each sub-span's values are in that order too; so the first value is the
-    product under the first tree.  ``tables`` holds each span's list of
-    per-split tables, spans in `_span_fold` order.
+    Each span keeps only its distinct products: for each split, each left
+    value is multiplied by each right value once, and equal products are
+    kept as one, the first made.  Pairs are visited split by split in
+    row-major order, which is the order the canonical trees first reach
+    them, since each sub-span's values are in that order too; so the first
+    value is the product under the first tree.
     """
-    tables = []
 
     def join(splits):
-        # Each value's index, in the order first made; a dict keeps the
-        # first object of equal keys, and its keys in insertion order.
-        index = {}
-        tables.append([
-            [[index.setdefault(left * right, len(index)) for right in rights] for left in lefts]
-            for lefts, rights in splits
-        ])
-        return list(index)
+        # A dict keeps the first of equal keys, and its keys in insertion order.
+        return list(dict.fromkeys(a * b for lefts, rights in splits for a in lefts for b in rights))
 
-    return _span_fold(factors, join), tables
+    return _span_fold(factors, join)
 
 
 def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     """The product of ``factors`` under every tree of `enumerate_trees`, in
     the same canonical order.
 
-    The products are the `_distinct_products` of ``factors``: each distinct
-    pair of sub-span values is multiplied once per span, and equal products
-    of a span are one shared object, so the spans above see them as one
-    value.  Generic factors merge nothing and cost one multiplication per
+    Each span lists one product per tree, and multiplies each pair of
+    operand objects once; equal products of a span are one shared object
+    (safe: an Octonion is immutable), so the spans above see them as one
+    operand.  Generic factors merge nothing and cost one multiplication per
     tree of each span; an exact word in two generators, whose every span
-    has a single value (Artin's theorem), costs (n**3 - n) / 6.  The
-    per-tree list is then read from the fold's tables, one index per tree.
+    has a single value (Artin's theorem), costs (n**3 - n) / 6.
 
     Every product is computed with the same operands as `evaluate` would
     use, so float results agree with it bit for bit.  Sharing by equality
@@ -210,20 +200,20 @@ def tree_products(factors: Sequence[Octonion]) -> list[Octonion]:
     NonFiniteError for the first such order, "the product under order k".
     """
     _require_enumerable(len(factors))
-    values, tables = _distinct_products(factors)
-    # The same fold over value indices visits the spans in the order their
-    # tables were recorded.
-    span_tables = iter(tables)
 
     def join(splits):
-        return [
-            row[b]
-            for (lefts, rights), table in zip(splits, next(span_tables))
-            for row in map(table.__getitem__, lefts)
-            for b in rights
-        ]
+        made, shared = {}, {}
 
-    products = [values[k] for k in _span_fold([0] * len(factors), join)]
+        def product(a, b):
+            pair = id(a), id(b)
+            if pair not in made:
+                p = a * b
+                made[pair] = shared.setdefault(p, p)
+            return made[pair]
+
+        return _pairwise(product)(splits)
+
+    products = _span_fold(factors, join)
     _require_representable(factors, enumerate(products, start=1))
     return products
 

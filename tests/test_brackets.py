@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 
 from octalg import (
+    BackendMismatchError,
     InvalidWordError,
+    NonFiniteError,
     Octonion,
     ZeroInverseError,
     additive_associator,
@@ -275,6 +277,31 @@ class TestBiassociativity:
             x.inverse(), x.conjugate(), y, x.inverse(), Octonion.from_real(2),
             x.conjugate(), x.inverse(), y.inverse(), y,
         ]
+
+    @pytest.mark.parametrize(
+        "scalar, message",
+        [
+            (10**400, "a scalar in the word is beyond the binary64 range"),
+            (Fraction(-(10**400), 3), "a scalar in the word is beyond the binary64 range"),
+            (Fraction(1, 10**400), "a scalar in the word underflows binary64 to 0"),
+        ],
+        ids=["int-overflow", "fraction-overflow", "fraction-underflow"],
+    )
+    def test_float_word_refuses_a_scalar_binary64_cannot_hold(self, scalar, message):
+        x = Octonion.parse("1 + e3", backend="float")
+        with pytest.raises(NonFiniteError) as info:
+            expand_word(["x", scalar], x, x)
+        assert str(info.value) == message
+
+    def test_float_word_keeps_a_zero_and_a_subnormal_scalar(self):
+        x = Octonion.parse("1 + e3", backend="float")
+        zero, tiny = expand_word([Fraction(0), Fraction(1, 10**310)], x, x)
+        assert zero.c == (0.0,) * 8
+        assert tiny.real == 1e-310
+
+    def test_exact_word_refuses_a_float_scalar(self):
+        with pytest.raises(BackendMismatchError, match="^float scalar in an exact-backend word$"):
+            expand_word(["x", 0.5], ONE, ONE)
 
     def test_float_backend_with_tolerance(self):
         x = Octonion.parse("1 + e1 - 2e4", backend="float")

@@ -263,7 +263,7 @@ def _per_tree(factors):
 
 def _per_tree_values(factors):
     """A stand-in for `_distinct_products` that lists one product per tree."""
-    return _per_tree(factors), None
+    return _per_tree(factors)
 
 
 def _hexes(products):
@@ -341,7 +341,7 @@ class TestTreeProducts:
         x, y = (random_octonion(rng, nonzero=True) for _ in range(2))
         factors = expand_word(WORD, x, y)
         count_products.clear()
-        values, _ = _distinct_products(factors)
+        values = _distinct_products(factors)
         assert len(values) == 1
         assert len(count_products) == 84
         assert values == tree_products(factors)[:1]
@@ -349,7 +349,7 @@ class TestTreeProducts:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_distinct_values_in_first_reached_order(self, rng, n):
         for name, factors in _factor_sets(rng, "float", n).items():
-            values, _ = _distinct_products(factors)
+            values = _distinct_products(factors)
             products = tree_products(factors)
             first_reached = list({id(p): p for p in products}.values())
             assert values == first_reached, name
@@ -398,7 +398,7 @@ class TestTreeProducts:
         inf = core._new([math.inf] + [0.0] * 7, None)
         monkeypatch.setattr(checks, "expand_word", lambda word, x, y: [ONE.as_float()] * 3)
         for values in ([inf], [inf, inf]):
-            monkeypatch.setattr(checks, "_distinct_products", lambda f, values=values: (values, None))
+            monkeypatch.setattr(checks, "_distinct_products", lambda f, values=values: values)
             assert checks._check_biassociativity(random.Random("bi"), "float", 1e-12)
 
 
