@@ -10,9 +10,7 @@ unit-norm factors that convert one evaluation order into the other:
 
 from __future__ import annotations
 
-import math
-
-from .core import FLOAT, Octonion, _range_error, _require_in_range
+from .core import FLOAT, Octonion, _require_in_range, _to_binary64
 from .errors import BackendMismatchError, InvalidWordError, ZeroInverseError
 
 
@@ -149,13 +147,9 @@ def _scalar_octonion(value, backend: str) -> Octonion:
     binary64 cannot hold, beyond its range or nonzero and rounding to 0,
     raises NonFiniteError, as the parser refuses such a number."""
     if backend == FLOAT:
-        try:
-            scalar = float(value)
-        except OverflowError:  # an int or Fraction too large for a float
-            raise _range_error("a scalar in the word", math.inf) from None
-        if value and not scalar:
-            raise _range_error("a scalar in the word", scalar)
-        return Octonion.from_real(scalar)
+        if not isinstance(value, float):
+            value = _to_binary64(value.numerator, value.denominator, "a scalar in the word")
+        return Octonion.from_real(value)
     if isinstance(value, float):
         raise BackendMismatchError("float scalar in an exact-backend word")
     import fractions

@@ -45,16 +45,11 @@ class CheckReport(_Record):
     """One identity's outcome: compared by fields, but mutable, and so
     unhashable."""
 
-    __slots__ = ("name", "cases", "failures", "first_failure")
+    __slots__ = ("name", "cases", "failures", "first_failure")  # str, int, int, str or None
+    _defaults = (None,)
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, name: str, cases: int, failures: int, first_failure: str | None = None):
-        self.name = name
-        self.cases = cases
-        self.failures = failures
-        self.first_failure = first_failure
 
     @property
     def passed(self) -> int:

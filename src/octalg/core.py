@@ -31,9 +31,11 @@ straight-line source of 8 signed sums, rather than interpreted per call.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import sys
+import types
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -205,11 +207,8 @@ _PRODUCT_FILENAME = "<octalg.core generated _product>"
 def _compile_product(terms, filename: str = _PRODUCT_FILENAME):
     """Generate ``_product(a, b, z)`` from ``terms``: straight-line code that
     unpacks both 8-sequences and returns the 8 sums ``z ± a_i*b_j ± ...``,
-    each evaluated left to right in the order of its terms.
-
-    The source is registered in `linecache` under ``filename``, so
-    tracebacks, profilers and `inspect.getsource` show the generated lines.
-    """
+    each evaluated left to right in the order of its terms, run by `_exec`
+    under ``filename``."""
     lines = [
         "def _product(a, b, z):",
         f"    {', '.join(f'a{i}' for i in range(DIM))} = a",
@@ -222,11 +221,18 @@ def _compile_product(terms, filename: str = _PRODUCT_FILENAME):
         )
         lines.append(f"        z{body},  # e{k}")
     lines.append("    ]")
+    return _exec(lines, filename)["_product"]
+
+
+def _exec(lines, filename: str) -> dict:
+    """The namespace that the generated source ``lines`` makes when run.  The
+    source is registered in `linecache` under ``filename``, so tracebacks,
+    profilers and `inspect.getsource` show the generated lines."""
     source = "\n".join(lines) + "\n"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["_product"]
+    return namespace
 
 
 # The product of the 8-sequences ``a`` and ``b`` as a list of 8 sums, the
@@ -271,6 +277,19 @@ def _range_error(what: str, value) -> NonFiniteError:
     return NonFiniteError(f"{what} {problem}")
 
 
+def _to_binary64(n: int, d: int, what: str) -> float:
+    """``n / d`` as binary64, correctly rounded, as ``float(Fraction(n, d))``
+    is; the `_range_error` for ``what`` when it is beyond the binary64 range,
+    or nonzero and rounds to 0."""
+    try:
+        result = n / d
+    except OverflowError:  # a quotient too large for a float
+        raise _range_error(what, math.inf) from None
+    if n and not result:
+        raise _range_error(what, result)
+    return result
+
+
 def _require_in_range(value: Octonion, operands: Sequence[Octonion] = ()) -> Octonion:
     """``value``, made from ``operands``, when it is `_in_range` of them; else
     raises the `_range_error` for "the result"."""
@@ -309,7 +328,14 @@ class Octonion:
                 f"octonions take exactly {DIM} coefficients, got {len(coeffs)}"
             )
         if any(isinstance(v, float) for v in coeffs):
-            values = tuple(float(v) for v in coeffs)
+            # A rational coefficient (an int or a Fraction) that binary64
+            # cannot hold is refused, as the parser refuses such a number.
+            values = tuple(
+                _to_binary64(int(v.numerator), int(v.denominator), "a coefficient")
+                if hasattr(v, "denominator")
+                else float(v)
+                for v in coeffs
+            )
             if not all(map(math.isfinite, values)):
                 raise NonFiniteError(
                     f"octonion coefficients must be finite binary64 values, got {values}"
@@ -410,12 +436,12 @@ class Octonion:
         return fractions.Fraction(self._v[0], d)
 
     def as_float(self) -> "Octonion":
-        """A float-backend copy of this value."""
+        """A float-backend copy of this value; NonFiniteError for a coefficient
+        that binary64 cannot hold."""
         d = self._d
         if d is None:
             return _new(self._v, None)
-        # int / int is correctly rounded, as float(Fraction(n, d)) is.
-        return _new([n / d for n in self._v], None)
+        return _new([_to_binary64(n, d, "a coefficient") for n in self._v], None)
 
     # -- helpers -------------------------------------------------------
 
@@ -437,7 +463,10 @@ class Octonion:
 
     def _scaled(self, value) -> "Octonion":
         if self._d is None:
-            s = float(value)
+            if isinstance(value, float):
+                s = float(value)
+            else:  # an int or a Fraction
+                s = _to_binary64(value.numerator, value.denominator, "the scalar")
             return _new([v * s for v in self._v], None)
         if isinstance(value, float):
             raise BackendMismatchError("float scalar on the exact backend")
@@ -618,19 +647,44 @@ def _fold(root, combine):
     return results[0]
 
 
+@functools.cache
+def _init_code(arity: int):
+    """The code of ``__init__(self, f0, f1, ...)`` for ``arity`` fields:
+    straight-line source that calls ``_set0(self, f0)``, ``_set1(self, f1)``
+    and so on, each ``_seti`` a global of the function.  Compiling is what a
+    generated constructor costs, so it is done once per number of fields."""
+    lines = [f"def __init__(self, {', '.join(f'f{i}' for i in range(arity))}):"]
+    lines += [f"    _set{i}(self, f{i})" for i in range(arity)]
+    return _exec(lines, f"<octalg.core generated __init__ of {arity} fields>")["__init__"].__code__
+
+
 class _Record:
     """Base of the package's small records, the expression and tree nodes
     among them.
 
     A subclass lists its fields in ``__slots__``, names those that hold
-    sub-records in ``_children``, and sets them in its ``__init__`` through
-    ``object.__setattr__``.  Instances refuse assignment, compare and hash on
-    `_postorder`, and show as ``Name(field=value, ...)`` through `_fold`, at
-    any depth.
+    sub-records in ``_children``, and gives the defaults of its last fields,
+    if any, in ``_defaults``.  It writes no ``__init__``: the one made here
+    takes the fields in ``__slots__`` order, by position or keyword, and
+    sets each, so `_from_key` can rebuild every record.  Instances
+    refuse assignment, compare and hash on `_postorder`, and show as
+    ``Name(field=value, ...)`` through `_fold`, at any depth.
     """
 
     __slots__ = ()
     _children = ()
+    _defaults = ()
+
+    def __init_subclass__(cls):
+        # The shared code for this many fields, its parameters renamed to
+        # the record's fields, in a function named ``Name.__init__``, so a
+        # bad call's TypeError reads as a written constructor's would.  Each
+        # field is set through its slot descriptor, as a record may refuse
+        # assignment.
+        code = _init_code(len(cls.__slots__)).replace(co_varnames=("self", *cls.__slots__))
+        setters = {f"_set{i}": vars(cls)[name].__set__ for i, name in enumerate(cls.__slots__)}
+        cls.__init__ = types.FunctionType(code, setters, "__init__", cls._defaults)
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _key(self) -> tuple:
         # Each node's type and other fields, in postorder.  Every type has a
@@ -675,8 +729,8 @@ def _record_text(node, *texts) -> str:
 
 
 def _from_key(key):
-    """The record whose `_Record._key` is ``key``: each node is built through
-    its ``__init__``, which takes its ``__slots__`` in order, from the other
+    """The record whose `_Record._key` is ``key``: each node is built by the
+    ``__init__`` that `_Record` makes from its ``__slots__``, from the other
     fields in its key entry and the records last built for its children."""
     built = []
     for cls, *fields in key:

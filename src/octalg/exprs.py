@@ -29,42 +29,26 @@ from .textform import UNIT_NAMES, WORD_RE, _scan_word, _skip_ws, format_octonion
 
 
 class Literal(_Record):
-    __slots__ = ("value",)
-
-    def __init__(self, value: Octonion):
-        object.__setattr__(self, "value", value)
+    __slots__ = ("value",)  # Octonion
 
 
 class Var(_Record):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+    __slots__ = ("name",)  # str
 
 
 class Product(_Record):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right")  # Expr, Expr
     _children = ("left", "right")
-
-    def __init__(self, left: "Expr", right: "Expr"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Conj(_Record):
-    __slots__ = ("inner",)
+    __slots__ = ("inner",)  # Expr
     _children = ("inner",)
-
-    def __init__(self, inner: "Expr"):
-        object.__setattr__(self, "inner", inner)
 
 
 class Inv(_Record):
-    __slots__ = ("inner",)
+    __slots__ = ("inner",)  # Expr
     _children = ("inner",)
-
-    def __init__(self, inner: "Expr"):
-        object.__setattr__(self, "inner", inner)
 
 
 Expr = Union[Literal, Var, Product, Conj, Inv]
@@ -101,15 +85,8 @@ _SIMPLE_TOKENS = {"*": "STAR", "~": "CONJ", "(": "LPAREN", ")": "RPAREN"}
 
 
 class _Token(_Record):
-    __slots__ = ("kind", "pos", "text", "value")
-
-    def __init__(
-        self, kind: str, pos: int, text: str = "", value: Octonion | None = None
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "value", value)
+    __slots__ = ("kind", "pos", "text", "value")  # str, int, str, Octonion or None
+    _defaults = ("", None)
 
 
 def _tokenize(source: str, backend: str) -> list[_Token]:

@@ -22,7 +22,7 @@ import math
 import re
 from math import lcm
 
-from .core import DIM, EXACT, FLOAT, Octonion, _new
+from .core import DIM, EXACT, FLOAT, Octonion, _new, _range_error, _to_binary64
 from .errors import NonFiniteError, ParseError
 
 WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -46,20 +46,12 @@ def _to_float(number, offset: int) -> float:
     """``number``, a decimal text or an exact ``(numerator, denominator)``
     int pair, as binary64; NonFiniteError when it is beyond that range, or
     nonzero and rounds to 0."""
-    if isinstance(number, str):
-        result, nonzero = float(number), number.strip("0.")
-    else:
-        n, d = number
-        nonzero = n
-        try:
-            # int / int is correctly rounded, as float(Fraction(n, d)) is.
-            result = n / d
-        except OverflowError:  # a quotient too large for a float
-            result = math.inf
-    if not math.isfinite(result):
-        raise NonFiniteError(f"the number at offset {offset} is beyond the binary64 range")
-    if not result and nonzero:
-        raise NonFiniteError(f"the number at offset {offset} underflows binary64 to 0")
+    what = f"the number at offset {offset}"
+    if not isinstance(number, str):
+        return _to_binary64(*number, what)
+    result = float(number)
+    if not math.isfinite(result) or not result and number.strip("0."):
+        raise _range_error(what, result)
     return result
 
 

@@ -49,19 +49,12 @@ MAX_MATRIX_FACTORS = 8
 
 
 class Leaf(_Record):
-    __slots__ = ("position",)  # 1-based factor index
-
-    def __init__(self, position: int):
-        object.__setattr__(self, "position", position)
+    __slots__ = ("position",)  # int: 1-based factor index
 
 
 class Node(_Record):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right")  # ProductTree, ProductTree
     _children = ("left", "right")
-
-    def __init__(self, left: "ProductTree", right: "ProductTree"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 ProductTree = Union[Leaf, Node]
@@ -268,14 +261,9 @@ class AssociatorMatrix(_Record):
     Equality is identity, since ``flat`` may be an array.
     """
 
-    __slots__ = ("n", "products", "flat")
+    __slots__ = ("n", "products", "flat")  # int, tuple of Octonion, see above
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, n: int, products: tuple[Octonion, ...], flat):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "products", products)
-        object.__setattr__(self, "flat", flat)
 
     @property
     def size(self) -> int:
@@ -342,10 +330,11 @@ def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> 
         return kernels.conversion_verdicts(flat, size, tolerance)
     one = Octonion.one(EXACT)
     diagonal_ok = all(flat[i * size + i] == one for i in range(size))
+    # Each pair once, the diagonal included: conjugation is an involution.
     symmetry_ok = all(
         flat[j * size + i] == flat[i * size + j].conjugate()
         for i in range(size)
-        for j in range(size)
+        for j in range(i, size)
     )
     return diagonal_ok, symmetry_ok
 

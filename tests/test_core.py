@@ -431,6 +431,62 @@ class TestConstructionAndBackends:
         with pytest.raises(NonFiniteError):
             Octonion([bad] + [0] * 7)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Octonion.one("float") * 10**400, "the scalar is beyond the binary64 range"),
+            (lambda: 10**400 * Octonion.one("float"), "the scalar is beyond the binary64 range"),
+            (
+                lambda: Octonion.one("float") * Fraction(-(10**400), 3),
+                "the scalar is beyond the binary64 range",
+            ),
+            (
+                lambda: Octonion.one("float") * Fraction(1, 10**400),
+                "the scalar underflows binary64 to 0",
+            ),
+            (
+                lambda: Octonion([1.0, 10**400, 0, 0, 0, 0, 0, 0]),
+                "a coefficient is beyond the binary64 range",
+            ),
+            (
+                lambda: Octonion([1.0, Fraction(1, 10**400)] + [0] * 6),
+                "a coefficient underflows binary64 to 0",
+            ),
+            (
+                lambda: Octonion.from_real(10**400).as_float(),
+                "a coefficient is beyond the binary64 range",
+            ),
+            (
+                lambda: Octonion.from_real(Fraction(1, 10**400)).as_float(),
+                "a coefficient underflows binary64 to 0",
+            ),
+        ],
+        ids=[
+            "scaled-int",
+            "rscaled-int",
+            "scaled-fraction",
+            "scaled-underflow",
+            "constructor-int",
+            "constructor-underflow",
+            "as-float-overflow",
+            "as-float-underflow",
+        ],
+    )
+    def test_refuses_a_rational_that_binary64_cannot_hold(self, make, message):
+        # As the parser refuses such a number: never a bare OverflowError,
+        # never a silent 0.
+        with pytest.raises(NonFiniteError, match=f"^{message}$"):
+            make()
+
+    def test_keeps_a_rational_zero_and_subnormal(self):
+        tiny = Fraction(1, 2**1074)  # the smallest subnormal binary64
+        one = Octonion.one("float")
+        assert (one * tiny).c[0] == (tiny * one).c[0] == 5e-324
+        assert Octonion([1.0, tiny] + [0] * 6).c[1] == 5e-324
+        assert Octonion.from_real(tiny).as_float().c[0] == 5e-324
+        assert (one * 0).c == (one * Fraction(0)).c == (0.0,) * 8
+        assert Octonion([1.0, 0, Fraction(0)] + [0] * 5).c == (1.0,) + (0.0,) * 7
+
     @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_named_constructors_match_the_list_construction(self, backend):
         if backend == "float":
@@ -540,6 +596,7 @@ class TestConstructionAndBackends:
             exprs._Token: exprs._Token("NUMBER", 3, "1/2", Octonion.parse("1/2")),
             checks.CheckReport: checks.CheckReport("moufang", 5, 1, "x != y"),
         }
+        defaults = {exprs._Token: ("", None), checks.CheckReport: (None,)}
         records, todo = [], [core._Record]
         while todo:
             subclasses = todo.pop().__subclasses__()
@@ -547,8 +604,20 @@ class TestConstructionAndBackends:
             todo += subclasses
         assert set(records) == set(samples)
         for cls, value in samples.items():
-            params = list(inspect.signature(cls.__init__).parameters)
-            assert params[1:] == list(cls.__slots__), cls.__qualname__
+            # `_Record` makes every constructor; no record writes its own.
+            code = vars(cls)["__init__"].__code__
+            assert code.co_filename.startswith("<octalg.core generated"), cls.__qualname__
+            params = list(inspect.signature(cls.__init__).parameters.values())
+            assert [p.name for p in params[1:]] == list(cls.__slots__), cls.__qualname__
+            given_defaults = tuple(p.default for p in params if p.default is not p.empty)
+            assert given_defaults == defaults.get(cls, ()), cls.__qualname__
+            by_keyword = cls(**{n: getattr(value, n) for n in cls.__slots__})
+            assert by_keyword._key() == value._key(), cls.__qualname__
+            required = cls.__slots__[: len(cls.__slots__) - len(defaults.get(cls, ()))]
+            with pytest.raises(TypeError) as missing:
+                cls(*[getattr(value, n) for n in required[:-1]])
+            assert str(missing.value).startswith(f"{cls.__qualname__}.__init__()")
+            assert repr(required[-1]) in str(missing.value)
             for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
                 assert twin is not value and type(twin) is cls
                 # AssociatorMatrix compares by identity: compare its fields.

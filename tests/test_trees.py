@@ -688,11 +688,18 @@ class TestMatrixVerification:
 
     @pytest.mark.parametrize(
         "i, j, delta, verdicts",
-        [(2, 2, "1/1000000", (False, True)), (1, 3, "1/1000000e6", (True, False))],
-        ids=["diagonal", "off-diagonal"],
+        [
+            (2, 2, "1/1000000", (False, True)),
+            (1, 3, "1/1000000e6", (True, False)),
+            (3, 1, "1/1000000e6", (True, False)),
+            (2, 2, "1/1000000e6", (False, False)),
+        ],
+        ids=["diagonal", "off-diagonal", "lower-triangle", "diagonal-not-real"],
     )
     def test_exact_negative_controls(self, i, j, delta, verdicts):
-        # A real part added to a diagonal entry keeps it self-conjugate.
+        # A real part added to a diagonal entry keeps it self-conjugate; an
+        # imaginary one does not.  Symmetry compares each pair once, so an
+        # entry below the diagonal must be caught as one above it is.
         m = associator_matrix([unit(1), unit(2), unit(4), Octonion.parse("1/3 + e5")])
         flat = list(m.flat)
         flat[i * m.size + j] += Octonion.parse(delta)
