@@ -24,8 +24,6 @@ _EXPORTS = {
     "EXACT": "core",
     "FLOAT": "core",
     "Octonion": "core",
-    "cayley_dickson_product": "core",
-    "structure_table": "core",
     "BackendMismatchError": "errors",
     "InvalidToleranceError": "errors",
     "InvalidWordError": "errors",
@@ -43,6 +41,8 @@ _EXPORTS = {
     "parse": "exprs",
     "parse_with_info": "exprs",
     "render_expr": "exprs",
+    "cayley_dickson_product": "table",
+    "structure_table": "table",
     "format_coefficients": "textform",
     "format_octonion": "textform",
     "parse_octonion": "textform",

@@ -11,34 +11,23 @@ it is loaded), so arithmetic on the stored ints never loads it.  The float
 backend stores binary64 coefficients and exists for speed; comparisons on
 it require an explicit tolerance.
 
-The multiplication table is not hardcoded.  It is derived at import time
-by doubling the scalars three times (reals -> complex -> quaternions ->
-octonions) with the pair rule
-
-    (a, b) * (c, d) = (a*c - conj(d)*b,  d*a + b*conj(c))
-
-applied to signed basis units, one doubling at a time: each product of
-units at one size is read off one product of units at half the size.  The
-basis products are thus a consequence of the construction rather than a
-64-entry constant to trust; `cayley_dickson_product`, the same rule
-recursing on whole coefficient tuples, stays as an independent check.
-Basis order: ``e0`` is the real unit, ``e1..e3`` span the quaternion
-sublevel, ``e4..e7`` the doubled half.
-
-The product is generated from that derived table at import time, as
-straight-line source of 8 signed sums, rather than interpreted per call.
+The product is the one that `octalg.table` derives from the Cayley-Dickson
+doubling rule, written as straight-line source of 8 signed sums into the
+committed module `octalg._generated` (regenerate it with ``python
+tools/generate.py``), so an import compiles nothing that bytecode does not
+cache, and no command derives the table.  The tests derive and check the
+table and require the committed module to be current.
 """
 
 from __future__ import annotations
 
-import functools
-import linecache
 import math
 import sys
 import types
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
+from . import _generated
 from .errors import (
     BackendMismatchError,
     InvalidToleranceError,
@@ -49,7 +38,9 @@ from .errors import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Scalar = Union["Fraction", float]
+    # Only for annotations: at run time a forward reference in a Union
+    # would compile source at import.
+    Scalar = Union[Fraction, float]
 
 DIM = 8
 
@@ -112,135 +103,12 @@ def _eq(a, b, tolerance, *scale_by: Octonion) -> bool:
     return absolute <= tolerance * scale
 
 
-def _cd_conjugate(v: tuple) -> tuple:
-    return (v[0],) + tuple(-a for a in v[1:])
-
-
-def _cd_multiply(u: tuple, v: tuple) -> tuple:
-    """Multiply two coefficient tuples of equal power-of-two length by the
-    doubling rule, recursing down to plain scalar multiplication."""
-    n = len(u)
-    if n == 1:
-        return (u[0] * v[0],)
-    h = n // 2
-    a, b = u[:h], u[h:]
-    c, d = v[:h], v[h:]
-    ac = _cd_multiply(a, c)
-    db = _cd_multiply(_cd_conjugate(d), b)
-    da = _cd_multiply(d, a)
-    bc = _cd_multiply(b, _cd_conjugate(c))
-    return tuple(p - q for p, q in zip(ac, db)) + tuple(p + q for p, q in zip(da, bc))
-
-
-def _derive_table() -> tuple[tuple, tuple]:
-    # units[p, q] = (k, s) means e_p * e_q = s * e_k.  At size 2h the pair
-    # rule sees e_p = (e_p, 0) and e_{h+q} = (0, e_q) for p, q < h, so each
-    # product of units is one half-size product, with conj(e_q) = c * e_q:
-    #   e_p     * e_q     = (e_p e_q, 0)
-    #   e_p     * e_{h+q} = (0, e_q e_p)
-    #   e_{h+p} * e_q     = (0, e_p conj(e_q))
-    #   e_{h+p} * e_{h+q} = (-conj(e_q) e_p, 0)
-    units = {(0, 0): (0, 1)}  # the reals: e0 * e0 = e0
-    h = 1
-    while h < DIM:
-        doubled = {}
-        for (p, q), (k, s) in units.items():
-            k_qp, s_qp = units[q, p]
-            c = 1 if q == 0 else -1
-            doubled[p, q] = (k, s)
-            doubled[p, h + q] = (h + k_qp, s_qp)
-            doubled[h + p, q] = (h + k, s * c)
-            doubled[h + p, h + q] = (k_qp, -c * s_qp)
-        units = doubled
-        h *= 2
-    rows = [[units[i, j] for j in range(DIM)] for i in range(DIM)]
-    return (
-        tuple(tuple(k for k, _ in row) for row in rows),
-        tuple(tuple(s for _, s in row) for row in rows),
-    )
-
-
-_MUL_INDEX, _MUL_SIGN = _derive_table()
-
-
-def _table_selfcheck() -> None:
-    # e0 must act as a two-sided identity, imaginary units must square to -1
-    # and anticommute pairwise, and every row must be a signed permutation.
-    # A violation means the doubling rule above was transcribed wrong.
-    for j in range(DIM):
-        assert _MUL_INDEX[0][j] == j and _MUL_SIGN[0][j] == 1
-        assert _MUL_INDEX[j][0] == j and _MUL_SIGN[j][0] == 1
-    for i in range(1, DIM):
-        assert _MUL_INDEX[i][i] == 0 and _MUL_SIGN[i][i] == -1
-        for j in range(1, DIM):
-            if i != j:
-                assert _MUL_INDEX[i][j] == _MUL_INDEX[j][i] != 0
-                assert _MUL_SIGN[i][j] == -_MUL_SIGN[j][i]
-    for i in range(DIM):
-        assert sorted(_MUL_INDEX[i]) == list(range(DIM))
-
-
-_table_selfcheck()
-
-
-def structure_table() -> tuple[tuple, tuple]:
-    """Return the derived basis-product table as (index, sign) row tuples.
-
-    ``e_i * e_j == sign[i][j] * e_{index[i][j]}``.
-    """
-    return _MUL_INDEX, _MUL_SIGN
-
-
-def _product_terms() -> tuple:
-    """For each output coefficient k, its signed terms ``(sign, i, j)`` of
-    ``a_i * b_j``, in i order: one per table entry with ``index[i][j] == k``."""
-    terms = [[] for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(DIM):
-            terms[_MUL_INDEX[i][j]].append((_MUL_SIGN[i][j], i, j))
-    return tuple(tuple(t) for t in terms)
-
-
-_PRODUCT_FILENAME = "<octalg.core generated _product>"
-
-
-def _compile_product(terms, filename: str = _PRODUCT_FILENAME):
-    """Generate ``_product(a, b, z)`` from ``terms``: straight-line code that
-    unpacks both 8-sequences and returns the 8 sums ``z ± a_i*b_j ± ...``,
-    each evaluated left to right in the order of its terms, run by `_exec`
-    under ``filename``."""
-    lines = [
-        "def _product(a, b, z):",
-        f"    {', '.join(f'a{i}' for i in range(DIM))} = a",
-        f"    {', '.join(f'b{j}' for j in range(DIM))} = b",
-        "    return [",
-    ]
-    for k, row in enumerate(terms):
-        body = "".join(
-            f" {'+' if sign == 1 else '-'} a{i}*b{j}" for sign, i, j in row
-        )
-        lines.append(f"        z{body},  # e{k}")
-    lines.append("    ]")
-    return _exec(lines, filename)["_product"]
-
-
-def _exec(lines, filename: str) -> dict:
-    """The namespace that the generated source ``lines`` makes when run.  The
-    source is registered in `linecache` under ``filename``, so tracebacks,
-    profilers and `inspect.getsource` show the generated lines."""
-    source = "\n".join(lines) + "\n"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace
-
-
 # The product of the 8-sequences ``a`` and ``b`` as a list of 8 sums, the
 # only product formula of the package.  Each sum starts from the caller's
 # zero ``z`` (0 on exact, 0.0 on float): from +0.0, adding a signed zero
 # never makes a sum -0.0.  Lists of numbers and `kernels`' coefficient
 # columns evaluate the same ordered sums, so they round alike.
-_product = _compile_product(_product_terms())
+_product = _generated._product
 
 
 def _sum_of_squares(v):
@@ -296,17 +164,6 @@ def _require_in_range(value: Octonion, operands: Sequence[Octonion] = ()) -> Oct
     if not _in_range(value, operands):
         raise _range_error("the result", value)
     return value
-
-
-def cayley_dickson_product(u: Iterable[Scalar], v: Iterable[Scalar]) -> tuple:
-    """Multiply two length-8 coefficient tuples directly by the recursive
-    doubling rule, bypassing the derived table.  Slow; used to cross-check
-    that the table-driven product agrees with the construction."""
-    u = tuple(u)
-    v = tuple(v)
-    if len(u) != DIM or len(v) != DIM:
-        raise ValueError("expected length-8 coefficient tuples")
-    return _cd_multiply(u, v)
 
 
 class Octonion:
@@ -629,8 +486,8 @@ def _postorder(root) -> list:
         except AttributeError:
             raise TypeError(f"not a record: {node!r}") from None
         order.append(node)
-        if children:
-            todo += [getattr(node, name) for name in children]
+        for name in children:
+            todo.append(getattr(node, name))
     order.reverse()
     return order
 
@@ -642,20 +499,17 @@ def _fold(root, combine):
     from `_postorder`, so depth is not bounded by the recursion limit."""
     results = []
     for node in _postorder(root):
-        first = len(results) - len(node._children)
-        results[first:] = [combine(node, *results[first:])]
+        # Records with no children or two, which make up every product tree,
+        # take their operands with no slice and no unpacking.
+        arity = len(node._children)
+        if not arity:
+            results.append(combine(node))
+        elif arity == 2:
+            right = results.pop()
+            results[-1] = combine(node, results[-1], right)
+        else:
+            results[-arity:] = [combine(node, *results[-arity:])]
     return results[0]
-
-
-@functools.cache
-def _init_code(arity: int):
-    """The code of ``__init__(self, f0, f1, ...)`` for ``arity`` fields:
-    straight-line source that calls ``_set0(self, f0)``, ``_set1(self, f1)``
-    and so on, each ``_seti`` a global of the function.  Compiling is what a
-    generated constructor costs, so it is done once per number of fields."""
-    lines = [f"def __init__(self, {', '.join(f'f{i}' for i in range(arity))}):"]
-    lines += [f"    _set{i}(self, f{i})" for i in range(arity)]
-    return _exec(lines, f"<octalg.core generated __init__ of {arity} fields>")["__init__"].__code__
 
 
 class _Record:
@@ -676,12 +530,13 @@ class _Record:
     _defaults = ()
 
     def __init_subclass__(cls):
-        # The shared code for this many fields, its parameters renamed to
+        # The generated code for this many fields, its parameters renamed to
         # the record's fields, in a function named ``Name.__init__``, so a
         # bad call's TypeError reads as a written constructor's would.  Each
         # field is set through its slot descriptor, as a record may refuse
         # assignment.
-        code = _init_code(len(cls.__slots__)).replace(co_varnames=("self", *cls.__slots__))
+        code = getattr(_generated, f"_init{len(cls.__slots__)}").__code__
+        code = code.replace(co_name="__init__", co_varnames=("self", *cls.__slots__))
         setters = {f"_set{i}": vars(cls)[name].__set__ for i, name in enumerate(cls.__slots__)}
         cls.__init__ = types.FunctionType(code, setters, "__init__", cls._defaults)
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -37,8 +37,10 @@ def _as_batch(a, broadcast: bool = False) -> np.ndarray:
 
 def from_octonions(values: Sequence[Octonion]) -> np.ndarray:
     """Stack octonions into an (n, 8) float64 coefficient array, ``(0, 8)``
-    for none."""
-    return np.array([[float(v) for v in x.c] for x in values], dtype=np.float64).reshape(-1, 8)
+    for none: one `np.array` call over the stored coefficients of float
+    values, and of exact ones `Octonion.as_float`'s."""
+    rows = [x._v if x._d is None else x.as_float()._v for x in values]
+    return np.array(rows, dtype=np.float64).reshape(-1, 8)
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

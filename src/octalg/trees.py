@@ -30,7 +30,6 @@ from .core import (
     EXACT,
     FLOAT,
     Octonion,
-    Scalar,
     _Record,
     _MIN_NORMAL,
     _new,
@@ -133,9 +132,9 @@ def render_tree(tree: ProductTree) -> str:
 def _tree_text(t, *operands) -> str:
     """`render_tree`'s rule: ``xk`` for leaf k, and a node's two operand
     texts joined by ``*`` inside one pair of parentheses."""
-    if isinstance(t, Leaf):
-        return f"x{t.position}"
-    return "({}*{})".format(*operands)
+    if operands:
+        return "(%s*%s)" % operands
+    return f"x{t.position}"
 
 
 def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
@@ -146,9 +145,9 @@ def evaluate(tree: ProductTree, factors: Sequence[Octonion]) -> Octonion:
         )
 
     def value(t, *operands):
-        if isinstance(t, Leaf):
-            return factors[t.position - 1]
-        return operands[0] * operands[1]
+        if operands:
+            return operands[0] * operands[1]
+        return factors[t.position - 1]
 
     return _fold(tree, value)
 
@@ -314,7 +313,7 @@ def _entries_float(products: list[Octonion]):
     return flat
 
 
-def verify_matrix(matrix: AssociatorMatrix, tolerance: Scalar | None = None) -> tuple[bool, bool]:
+def verify_matrix(matrix: AssociatorMatrix, tolerance: float | None = None) -> tuple[bool, bool]:
     """The matrix's two invariants: ``(diagonal_ok, symmetry_ok)``.
 
     Whether every diagonal entry equals 1, and every entry (j, i) equals the

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from octalg import AssociatorMatrix, NonFiniteError, Octonion, ParseError
+from octalg import AssociatorMatrix, NonFiniteError, Octonion, ParseError, table
 from octalg.exprs import Literal, Var
 
 # Every p/q with 1 <= q <= 9 and |p/q| <= 9, drawn without st.fractions,
@@ -175,3 +175,12 @@ def float_edge_operands() -> list[Octonion]:
         Octonion([-1e154, 1e154, 1e154, -1e154, 1e154, 0.0, -1e154, 1e154]),
         (big * big) * Octonion.unit(1, "float"),
     ] + [Octonion([rng.uniform(-9.0, 9.0) for _ in range(8)]) for _ in range(5)]
+
+
+def compile_product(terms, filename: str):
+    """The ``_product`` that `table._product_source` writes for ``terms``,
+    compiled under ``filename``: a product with altered terms, for the
+    tests that must catch it."""
+    namespace = {}
+    exec(compile(table._product_source(terms), filename, "exec"), namespace)
+    return namespace["_product"]

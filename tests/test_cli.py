@@ -1044,35 +1044,54 @@ class TestParserReuse:
 
 # Run in a fresh interpreter, since this test session has imported every
 # module: runs the command line on sys.argv[1:] with its output discarded,
-# then prints the exit code and the loaded octalg, numpy, orjson, fractions
-# and decimal modules.
+# then prints the exit code and the loaded octalg, numpy, orjson, fractions,
+# decimal, linecache and tokenize modules, and on a second line the name of
+# every source that was compiled from a string with no file behind it.
 _LOADED_MODULES = """
-import contextlib, io, sys
+import builtins, contextlib, io, os, sys
+strings = []
+def compile(source, filename, *args, _compile=builtins.compile, **kwargs):
+    if not os.path.isfile(filename):
+        strings.append(repr(filename))
+    return _compile(source, filename, *args, **kwargs)
+builtins.compile = compile
 from octalg import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *sorted(
     m for m in sys.modules
-    if m in ("numpy", "orjson", "fractions", "decimal") or m.split(".")[0] == "octalg"
+    if m in ("numpy", "orjson", "fractions", "decimal", "linecache", "tokenize")
+    or m.split(".")[0] == "octalg"
 ))
+print(*strings)
 """
 
 
 def _loaded_modules(*argv):
+    """The octalg, numpy, orjson, fractions and decimal modules that running
+    the command line on ``argv`` loads, after checking what every command
+    keeps to: nothing is compiled from a source string, the table's
+    derivation (`octalg.table`) is not loaded, and neither are `linecache`
+    and `tokenize` unless numpy is, whose own import loads both."""
     result = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True,
         check=True,
     )
-    code, *modules = result.stdout.split()
+    loaded, strings = result.stdout.splitlines()
+    code, *modules = loaded.split()
     assert code == "0", result
-    return {m.removeprefix("octalg.") for m in modules}
+    assert not strings, strings
+    assert "octalg.table" not in modules
+    if "numpy" not in modules:
+        assert not {"linecache", "tokenize"} & set(modules), modules
+    return {m.removeprefix("octalg.") for m in modules} - {"linecache", "tokenize"}
 
 
 class TestColdStart:
     """Each subcommand loads only the modules it runs."""
 
     def test_import_loads_only_the_parser_modules(self):
-        assert _loaded_modules() == {"octalg", "cli", "core", "errors"}
+        assert _loaded_modules() == {"octalg", "cli", "core", "errors", "_generated"}
 
     @pytest.mark.parametrize(
         "argv",

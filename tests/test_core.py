@@ -10,6 +10,7 @@ import re
 import traceback
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from octalg import (
     NonFiniteError,
     Octonion,
     ZeroInverseError,
+    _generated,
     associator_matrix,
     cayley_dickson_product,
     checks,
@@ -29,10 +31,12 @@ from octalg import (
     kernels,
     parse,
     structure_table,
+    table,
 )
 
 from tests.strategies import (
     coefficients,
+    compile_product,
     float_edge_operands,
     nonzero_octonions,
     octonions,
@@ -176,11 +180,11 @@ class TestGeneratedProduct:
         expected = [_hex(_loop_product(x.c, y.c)) for x, y in pairs]
         for k in range(8):
             for p in range(1, 7):
-                terms = list(core._product_terms())
+                terms = list(table._product_terms())
                 row = list(terms[k])
                 row[p], row[p + 1] = row[p + 1], row[p]
                 terms[k] = tuple(row)
-                swapped = core._compile_product(terms, "<test swapped product>")
+                swapped = compile_product(terms, "<test swapped product>")
                 assert any(
                     _hex(swapped(x.c, y.c, 0.0)) != want
                     for (x, y), want in zip(pairs, expected)
@@ -190,8 +194,17 @@ class TestGeneratedProduct:
         with pytest.raises(TypeError) as info:
             core._product(None, None, 0)
         text = "".join(traceback.format_exception(info.value))
-        assert 'File "<octalg.core generated _product>", line 2, in _product' in text
+        line = inspect.getsourcelines(_generated._product)[1] + 1
+        assert f'File "{_generated.__file__}", line {line}, in _product' in text
         assert "a0, a1, a2, a3, a4, a5, a6, a7 = a" in text
+
+    def test_committed_module_is_current(self):
+        # The table is derived and self-checked by the doubling rule on
+        # import of `table`; the module every command runs must be what
+        # `tools/generate.py` writes from it now.
+        committed = Path(_generated.__file__).read_bytes()
+        assert committed == table.generated_source().encode()
+        assert core._product is _generated._product
 
 
 class TestSpecifiedExamples:
@@ -606,7 +619,7 @@ class TestConstructionAndBackends:
         for cls, value in samples.items():
             # `_Record` makes every constructor; no record writes its own.
             code = vars(cls)["__init__"].__code__
-            assert code.co_filename.startswith("<octalg.core generated"), cls.__qualname__
+            assert code.co_filename == _generated.__file__, cls.__qualname__
             params = list(inspect.signature(cls.__init__).parameters.values())
             assert [p.name for p in params[1:]] == list(cls.__slots__), cls.__qualname__
             given_defaults = tuple(p.default for p in params if p.default is not p.empty)

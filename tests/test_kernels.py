@@ -196,6 +196,11 @@ class TestShapeHandling:
         assert kernels.pairwise_products(empty, p).shape == (0, 8)
         assert kernels.multiply(empty, empty).shape == (0, 8)
 
+    def test_exact_octonions_stack_as_their_float_copies(self, rng):
+        values = [random_octonion(rng) for _ in range(5)]
+        stacked = kernels.from_octonions(values)
+        assert [_hex(row) for row in stacked] == [_hex(x.as_float().c) for x in values]
+
     def test_round_trip_wrappers(self, rng):
         # The order-conversion matrix wraps one array row at a time this way.
         xs, ax = _batch(rng, 5)

@@ -34,7 +34,7 @@ from octalg import (
     right_comb,
     tree_products,
 )
-from octalg import checks, core
+from octalg import checks, core, table
 from octalg.brackets import expand_word
 from octalg.sampling import random_octonion, random_scalar
 from octalg.core import DEFAULT_FLOAT_TOLERANCE
@@ -51,7 +51,7 @@ from octalg.trees import (
     verify_matrix,
 )
 
-from tests.strategies import nonzero_octonions, perturbed, unit
+from tests.strategies import compile_product, nonzero_octonions, perturbed, unit
 
 ONE = Octonion.one()
 
@@ -319,11 +319,11 @@ class TestTreeProducts:
         # theorem fails: sharing equal products must not hide that.  The
         # check fails on exactly the cases that per-tree evaluation fails
         # on, 196 of these 300.
-        terms = [list(row) for row in core._product_terms()]
+        terms = [list(row) for row in table._product_terms()]
         sign, i, j = terms[3][5]
         terms[3][5] = (-sign, i, j)
         monkeypatch.setattr(
-            core, "_product", core._compile_product(terms, "<test flipped product>")
+            core, "_product", compile_product(terms, "<test flipped product>")
         )
 
         def failures():
