@@ -389,14 +389,15 @@ class Octonion:
 
         return fractions.Fraction(n2, d * d)
 
-    def inverse(self) -> "Octonion":
+    def inverse(self, *, name: str | None = None) -> "Octonion":
         """The two-sided multiplicative inverse, conjugate / norm_sq.
 
         On the float backend a squared norm outside the normal binary64
         range raises NonFiniteError: one that overflows would round the
         inverse towards zero, a subnormal one has lost the precision the
         inverse needs, and a nonzero one that underflows to 0 cannot be
-        divided by.
+        divided by.  The error calls the operand ``name``, ``operand`` and
+        its value when no name is given.
         """
         v, d = self._v, self._d
         if d is None:
@@ -404,7 +405,7 @@ class Octonion:
             if not _MIN_NORMAL <= n2 < math.inf:
                 if not self:
                     raise ZeroInverseError(f"zero octonion has no inverse: operand {self}")
-                raise _range_error(f"the squared norm of operand {self}", n2)
+                raise _range_error(f"the squared norm of {name or f'operand {self}'}", n2)
             return _new([x / n2 for x in self.conjugate()._v], None)
         # conj(v)/d divided by sum(v^2)/d^2 is conj(v)*d / sum(v^2).
         s = _sum_of_squares(v)

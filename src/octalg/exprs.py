@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Union
 
 from .core import EXACT, Octonion, _Record, _fold
-from .errors import ParseError, ReservedIdentifierError, UnboundVariableError
+from .errors import NonFiniteError, ParseError, ReservedIdentifierError, UnboundVariableError
 from .textform import UNIT_NAMES, WORD_RE, _scan_word, _skip_ws, format_octonion, scan_octonion
 
 
@@ -245,7 +245,12 @@ def eval_expr(expr: Expr, env: Environment | None = None) -> Octonion:
         if isinstance(e, Conj):
             return operands[0].conjugate()
         if isinstance(e, Inv):
-            return operands[0].inverse()
+            try:
+                return operands[0].inverse()
+            except NonFiniteError:
+                # Refused again, naming the operand as written, not by its
+                # value; rendered only here, as it costs a walk of the operand.
+                return operands[0].inverse(name=render_expr(e.inner))
         if isinstance(e, Product):
             return operands[0] * operands[1]
         raise TypeError(f"not an expression node: {e!r}")

@@ -1,9 +1,9 @@
 """Batched float64 octonion kernels.
 
 The float-backend order-conversion matrix operates on ``(n, 8)``
-coefficient arrays, from its computation through its verification.  This
-is the only module of the package that imports numpy, so exact-backend
-callers never load it.
+coefficient arrays, from its computation through its verification and
+its formatting.  This is the only module of the package that imports
+numpy, so exact-backend callers never load it.
 
 `multiply` runs `core._product`, the product generated from the derived
 table, on coefficient columns, and `norm_squared` runs
@@ -11,6 +11,10 @@ table, on coefficient columns, and `norm_squared` runs
 sum the scalar backend computes, so the two agree bit for bit.  `multiply`
 broadcasts its operands, so `pairwise_products` forms every ``a_i * b_j``
 term as an outer product of two column views, with no repeated operand rows.
+Its result is stored in coefficient planes: each of the 8 sums is one
+contiguous row of an ``(8, rows)`` buffer, and the ``(rows, 8)`` result is
+that buffer's transpose, a view.  `conversion_verdicts` reads a matrix as
+those planes, and `null_separated` lays rows out for one flat text dump.
 """
 
 from __future__ import annotations
@@ -23,13 +27,12 @@ from .core import Octonion, _MIN_NORMAL, _product, _range_error, _sum_of_squares
 from .errors import ZeroInverseError
 
 _ONE = np.array([1.0] + [0.0] * 7)
-_CONJUGATE_SIGN = np.array([1.0] + [-1.0] * 7)
 
 
 def _as_batch(a, broadcast: bool = False) -> np.ndarray:
     """``a`` as float64 coefficient rows: an ``(n, 8)`` array, or with
     ``broadcast`` any ``(..., 8)`` array."""
-    arr = np.ascontiguousarray(a, dtype=np.float64)
+    arr = np.asarray(a, dtype=np.float64)
     if arr.shape[-1:] != (8,) or not (broadcast or arr.ndim == 2):
         raise ValueError(f"expected an (n, 8) coefficient array, got shape {arr.shape}")
     return arr
@@ -45,21 +48,22 @@ def from_octonions(values: Sequence[Octonion]) -> np.ndarray:
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products of ``(..., 8)`` coefficient arrays whose leading axes
-    broadcast against each other, as C-order ``(rows, 8)``: row-wise
-    ``a[k] * b[k]`` for two ``(n, 8)`` arrays, every ``a[i] * b[j]`` for
-    ``(m, 1, 8)`` by ``(1, n, 8)``."""
+    broadcast against each other, as ``(rows, 8)``: row-wise ``a[k] * b[k]``
+    for two ``(n, 8)`` arrays, every ``a[i] * b[j]`` for ``(m, 1, 8)`` by
+    ``(1, n, 8)``.  The result is the transpose of an ``(8, rows)`` buffer,
+    so each coefficient's values are one contiguous plane."""
     a = _as_batch(a, broadcast=True)
     b = _as_batch(b, broadcast=True)
     try:
         shape = np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ValueError(f"operand shapes differ: {a.shape} vs {b.shape}") from None
-    out = np.empty(shape)
+    planes = np.empty((8, *shape[:-1]))
     # The rows of moveaxis(x, -1, 0) are coefficient columns, views of x.
     columns = _product(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), 0.0)
-    for k, column in enumerate(columns):
-        out[..., k] = column
-    return out.reshape(-1, 8)
+    for plane, column in zip(planes, columns):
+        plane[...] = column
+    return planes.reshape(8, -1).T
 
 
 def pairwise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,15 +112,31 @@ def conversion_verdicts(entries: np.ndarray, size: int, tolerance: float) -> tup
     ``|M[i,i] - 1| <= tolerance`` and every ``|M[j,i] - conj(M[i,j])| <=
     tolerance``: `Octonion.equals`' rule at scale 1, the scale of entries of
     unit norm, so the verdicts agree with it and a NaN or inf difference fails.
-    The symmetry difference is formed in place, in one temporary the size of M.
+
+    M is read as 8 ``(size, size)`` coefficient planes, views of ``entries``
+    (contiguous ones for a `multiply` result): the diagonal of plane 0 must
+    be 1 and that of every other plane 0, and plane 0 must be symmetric and
+    planes 1 to 7 antisymmetric.  The differences are formed in place, in
+    one temporary the size of M.
     """
-    m = _as_batch(entries).reshape(size, size, 8)
-    diagonal = m[np.arange(size), np.arange(size)]
-    diagonal_ok = bool(np.all(np.abs(diagonal - _ONE) <= tolerance))
-    transposed = m.transpose(1, 0, 2)  # transposed[i, j] is M[j, i]
-    difference = np.multiply(m, _CONJUGATE_SIGN)
+    planes = _as_batch(entries).reshape(size, size, 8).transpose(2, 0, 1)
+    diagonal = planes.diagonal(axis1=1, axis2=2)  # diagonal[k, i] is M[i, i][k]
+    diagonal_ok = bool(np.all(np.abs(diagonal - _ONE[:, None]) <= tolerance))
+    difference = np.empty(planes.shape)
+    transposed = planes.transpose(0, 2, 1)  # transposed[k, i, j] is M[j, i][k]
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN, and fails
-        np.subtract(transposed, difference, out=difference)
+        np.subtract(transposed[0], planes[0], out=difference[0])
+        np.add(transposed[1:], planes[1:], out=difference[1:])
     np.abs(difference, out=difference)
     symmetry_ok = bool(np.all(difference <= tolerance))
     return diagonal_ok, symmetry_ok
+
+
+def null_separated(rows: np.ndarray) -> np.ndarray:
+    """The values of ``(m, 8)`` coefficient rows, strided ones included, as
+    one flat array with a NaN after each row: a copy, made in one pass."""
+    rows = _as_batch(rows)
+    out = np.empty((len(rows), 9))
+    out[:, :8] = rows
+    out[:, 8] = np.nan
+    return out.reshape(-1)

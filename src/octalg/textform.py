@@ -221,27 +221,40 @@ def format_coefficients(x: Octonion) -> str:
 
 
 def format_float_rows(rows) -> list[str]:
-    """The machine rendering of each row of a C-contiguous ``(m, 8)`` float64
-    array: its values comma-separated, each as `format_scalar` writes it.
-    Every float rendering of a matrix and its products is written from these
-    tokens, the text format by `_term_text` of each row's tokens.
+    """The machine rendering of each row of an ``(m, 8)`` float64 array,
+    strided views included: its values comma-separated, each as
+    `format_scalar` writes it.  Every float rendering of a matrix and its
+    products is written from these tokens, the text format by `_term_text`
+    of each row's tokens.
 
-    All rows are written by one ``orjson.dumps``, whose Ryū writes each
-    value's shortest round-trip digits, positionally from 1e-5 up to 1e16,
-    and in scientific notation outside.  The dump's text is scanned once for
-    ``n`` and once for ``e``: a block holding ``null``, which is how orjson
-    writes a non-finite value, is rendered per value, and only when an ``e``
-    is present are the cells that hold one expanded, by `_positional` from
-    orjson's own digits.
+    The rows are copied once, by `kernels.null_separated`, into one flat
+    array with a NaN after each row, which one ``orjson.dumps`` writes.  Its
+    Ryū writes each value's shortest round-trip digits, positionally from
+    1e-5 up to 1e16 and in scientific notation outside, and each NaN as
+    ``null``, so one split on ``,null,`` gives the rows' cells.  The cells
+    are scanned once for ``n`` and the text once for ``e``: a ``null`` left
+    in a cell, or a cell count other than the row count, means a non-finite
+    value wrote one too, and each row holding one is then rendered per
+    value; and only when an ``e`` is present are the cells that hold one
+    expanded, by `_positional` from orjson's own digits.
     """
     import orjson  # imported here: only the float matrix commands need it
 
+    from . import kernels
+
     if not len(rows):
         return []
-    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
-    if "n" in text:
-        return [",".join(map(format_scalar, row)) for row in rows.tolist()]
-    cells = text.split("],[")
+    # "[" + the cells, each followed by ",null" + "]"
+    text = orjson.dumps(kernels.null_separated(rows), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[1:-6].decode()
+    cells = text.split(",null,")
+    # Each split takes one null: with none left over and one cell per row,
+    # every null was a row's NaN.
+    if len(cells) != len(rows) or "n" in "".join(cells):
+        tokens, cells = text.split(","), []
+        for first, row in zip(range(0, len(tokens), 9), rows.tolist()):
+            values = tokens[first : first + 8]
+            cells.append(",".join(map(format_scalar, row) if "null" in values else values))
     if "e" in text:
         for k, cell in enumerate(cells):
             if "e" in cell:

@@ -87,11 +87,17 @@ def _trees(n: int) -> tuple:
     return tuple(_span_fold([Leaf(k) for k in range(1, n + 1)], _pairwise(Node)))
 
 
-def _tree_labels(n: int) -> list[str]:
-    """`render_tree` of every tree of `enumerate_trees`, in the same order."""
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple:
     labels = _span_fold([f"x{k}" for k in range(1, n + 1)], _pairwise("({}*{})".format))
     # Every label but a lone leaf's carries one pair of outer parentheses.
-    return labels if n == 1 else [label[1:-1] for label in labels]
+    return tuple(labels if n == 1 else [label[1:-1] for label in labels])
+
+
+def _tree_labels(n: int) -> list[str]:
+    """`render_tree` of every tree of `enumerate_trees`, in the same order:
+    a new list of the labels, which are folded once per n and cached."""
+    return list(_labels(n))
 
 
 def _require_enumerable(n: int) -> None:
@@ -256,7 +262,9 @@ class AssociatorMatrix(_Record):
     ``flat`` holds the entries row-major, entry (i, j) at index
     ``i * size + j``: on float a read-only ``(size * size, 8)`` float64
     array, whose entries `entry` wraps one at a time, on exact a list of
-    octonions.
+    octonions.  The float array is the transpose of 8 contiguous
+    coefficient planes, as `kernels.multiply` stores its products, so
+    coefficient k of every entry is one contiguous ``(size, size)`` block.
     Equality is identity, since ``flat`` may be an array.
     """
 

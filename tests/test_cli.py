@@ -671,11 +671,15 @@ class TestRangeRefusals:
             (["orders", SMALL, SMALL, "e4", "--matrix"],
              "the squared norm of the product under order 1 underflows binary64 to 0"),
             (["eval", "x^-1", "--let", f"x={HUGE}"],
-             f"the squared norm of operand 1{'0' * 200} is beyond the binary64 range"),
+             "the squared norm of x is beyond the binary64 range"),
             (["eval", "x^-1", "--let", "x=0." + "0" * 169 + "1"],
-             f"the squared norm of operand 0.{'0' * 169}1 underflows binary64 to 0"),
+             "the squared norm of x underflows binary64 to 0"),
             (["eval", "x^-1*x", "--let", f"x={SUBNORMAL_NORM}"],
-             f"the squared norm of operand {SUBNORMAL_TEXT} {SUBNORMAL}"),
+             f"the squared norm of x {SUBNORMAL}"),
+            (["eval", "(x*x)^-1", "--let", f"x={HUGE}"],
+             "the squared norm of x*x is beyond the binary64 range"),
+            (["eval", "(x*y)^-1", "--let", f"x={HUGE} + e1", "--let", f"y={HUGE} + e2"],
+             "the squared norm of x*y is beyond the binary64 range"),
             (["associator", SUBNORMAL_NORM, "e2", "e4"],
              f"the squared norm of operand {SUBNORMAL_TEXT} {SUBNORMAL}"),
             (["orders", SUBNORMAL_NORM, "e2", "e4", "--matrix"],
@@ -685,7 +689,8 @@ class TestRangeRefusals:
             "eval-overflow", "eval-underflow", "eval-chain-underflow", "bracket",
             "orders-overflow", "orders-underflow", "matrix-norm-overflow",
             "matrix-norm-underflow", "inverse-overflow", "inverse-underflow",
-            "inverse-subnormal-norm", "bracket-subnormal-norm", "matrix-subnormal-norm",
+            "inverse-subnormal-norm", "product-inverse-overflow", "pair-inverse-overflow",
+            "bracket-subnormal-norm", "matrix-subnormal-norm",
         ],
     )
     def test_cli_refusals(self, capsys, argv, message):
@@ -1217,10 +1222,23 @@ GOLDEN_FACTORS = (
 TEN_FACTOR_EXTRA = ("2 - e6 + 1/9e2", "e5 + 4/3e1 - 1", "1/7 + e3 - 2e7")
 
 
+def _eight_factors():
+    """The `work-bounds-8` factors: 8 nonzero exact draws, as text."""
+    import random
+
+    from octalg.sampling import random_octonion
+    from octalg.textform import format_octonion
+
+    rng = random.Random("work-bounds-8")
+    return [format_octonion(random_octonion(rng, "exact", nonzero=True)) for _ in range(8)]
+
+
 class TestGoldenOutput:
     """sha256 of the full stdout of a 7-factor ``orders --matrix`` and of a
     10-factor ``orders`` listing, so that no change to how the orders or the
-    matrix are computed, stored or rendered can change a byte unnoticed."""
+    matrix are computed, stored or rendered can change a byte unnoticed; and
+    of an 8-factor float matrix, whose 1.47 MB coefficient planes are past
+    the size below which numpy reuses temporaries in place."""
 
     @pytest.mark.parametrize(
         "backend, fmt, digest",
@@ -1238,6 +1256,25 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt, size, digest",
+        [
+            ("machine", 31_021_668,
+             "490a3de0f7a6fc36c97dcb4c047cab7eb27840cb64b2dbadd6e984fda4c710f5"),
+            ("text", 42_651_943,
+             "7ab89c943d25d2e776ff7568ae971ac79d5906176ccc130d071d62c0c096c742"),
+        ],
+    )
+    def test_eight_factor_float_matrix(self, capsys, fmt, size, digest):
+        code, out, _ = run_cli(
+            capsys, "orders", *_eight_factors(), "--matrix", "--backend", "float",
+            "--format", fmt,
+        )
+        assert code == 0
+        out = out.encode()
+        assert len(out) == size
+        assert hashlib.sha256(out).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "backend, fmt, digest",

@@ -179,8 +179,15 @@ class TestShapeHandling:
         _, ax = _batch(rng, 5)
         _, ay = _batch(rng, 3)
         out = kernels.multiply(ax[:, None], ay[None, :])
-        assert out.shape == (15, 8) and out.flags.c_contiguous
+        assert out.shape == (15, 8) and out.T.flags.c_contiguous
         assert _hex(out.ravel()) == _hex(kernels.pairwise_products(ax, ay).ravel())
+
+    def test_length_counts_products(self, rng):
+        # The tracer counts `multiply`'s rows as the length of its result.
+        _, ax = _batch(rng, 5)
+        _, ay = _batch(rng, 3)
+        assert len(kernels.multiply(ax[:, None], ay[None, :])) == len(ax) * len(ay)
+        assert len(kernels.multiply(ax, ax)) == len(ax)
 
     def test_broadcast_one_row_multiplies_every_row(self, rng):
         xs, ax = _batch(rng, 6)

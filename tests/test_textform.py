@@ -338,6 +338,22 @@ def _refuse_per_value(value):
     raise AssertionError("a finite row was rendered per value")
 
 
+def _hex(values):
+    """Bit patterns of floats: tells -0.0 from 0.0."""
+    return [float.hex(v) for v in values]
+
+
+# -0.0, subnormals, and finite values that orjson writes in scientific
+# notation: from 1e16 up and below 1e-5.
+_EXTREME_FLOATS = (
+    st.just(-0.0)
+    | st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308)
+    | st.floats(min_value=1e16, allow_infinity=False)
+    | st.floats(max_value=-1e16, allow_infinity=False)
+    | st.floats(min_value=-1e-5, max_value=1e-5, exclude_min=True, exclude_max=True)
+)
+
+
 class TestFloatRows:
     """`format_float_rows` writes each row as `format_scalar` does per value."""
 
@@ -395,7 +411,7 @@ class TestFloatRows:
     def test_blocks_at_the_edges_of_the_scan(self, monkeypatch, null):
         # Rows with no scientific token among rows with one at each edge of
         # orjson's positional range; with a non-finite value, which orjson
-        # writes as ``null``, the whole block is rendered per value.
+        # writes as ``null``, the row holding it is rendered per value.
         rows = [
             [1.0, 0.5, -2.0, 0.0, 3.25, 0.0, 0.0, 7.0],
             [1e-5, 9.999999999999999e-06, 1e16, 5e-324, -0.0, 1.0, -1e16, 0.1],
@@ -412,10 +428,51 @@ class TestFloatRows:
     def test_no_rows(self):
         assert format_float_rows(np.zeros((0, 8))) == []
 
-    def test_float_matrix_is_c_contiguous(self):
-        # orjson refuses an array that is not C-contiguous, and each matrix
-        # row is passed as a slice of ``flat``.
+    def test_strided_views_render_as_their_contiguous_copies(self):
+        # Each float matrix row is passed as a slice of ``flat``, the
+        # transpose of the matrix's coefficient planes.
         factors = [parse_octonion(t, "float") for t in ("1 + 2e1", "0.5 - e4", "e2 + 3e7", "2 - e5")]
         flat = associator_matrix(factors).flat
         assert flat.dtype == np.float64 and flat.shape == (25, 8)
-        assert flat.flags.c_contiguous and flat[5:10].flags.c_contiguous
+        rows = np.array([_EDGE_VALUES[:8], _EDGE_VALUES[5:], [1e-17] * 8, [3.5] * 8])
+        for view in (flat[5:10], flat[::3], rows[::-2], rows.T.copy().T, flat[:0]):
+            assert not view.flags.c_contiguous or not len(view)
+            assert format_float_rows(view) == format_float_rows(np.ascontiguousarray(view))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "last", "whole"])
+    def test_a_non_finite_value_renders_its_row_per_value(self, monkeypatch, value, where):
+        # orjson writes a non-finite value as ``null``, as it writes the NaN
+        # after each row: only the row holding one is rendered per value.
+        rows = [
+            [1.0, 1e-17, -0.0, 0.0, 0.5, 0.0, 0.0, 1e16],
+            [2.0, -3.5, 0.0, 0.0, 0.0, 0.0, 0.0, -5e-324],
+            [0.25, 0.0, 0.0, 1e-5, 0.0, 0.0, 0.0, 7.0],
+        ]
+        bad = {"first": [value] + rows[1][1:], "last": rows[1][:7] + [value], "whole": [value] * 8}
+        rows[1] = bad[where]
+        rendered = []
+
+        def recording(v):
+            rendered.append(v)
+            return format_scalar(v)
+
+        monkeypatch.setattr(textform, "format_scalar", recording)
+        assert format_float_rows(np.array(rows)) == [
+            ",".join(map(format_scalar, row)) for row in rows
+        ]
+        assert _hex(rendered) == _hex(rows[1])
+        for view in (np.array(rows)[::-1], np.array(rows)[1:2]):
+            assert format_float_rows(view) == [",".join(map(format_scalar, r)) for r in view.tolist()]
+
+    @given(st.lists(st.lists(_EXTREME_FLOATS, min_size=8, max_size=8), min_size=1, max_size=4))
+    @example([[-0.0, 5e-324, -2.225073858507201e-308, 1e16, -1.7976931348623157e308,
+               9.999999999999999e-06, -1e-300, 1.2345678901234567e20]])
+    def test_extreme_values_reparse_to_their_bits(self, rows):
+        array = np.array(rows)
+        for view in (array, array[::-1]):
+            cells = format_float_rows(view)
+            assert [_hex(map(float, cell.split(","))) for cell in cells] == [
+                _hex(row) for row in view.tolist()
+            ]
+            assert "e" not in "".join(cells)

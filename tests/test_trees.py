@@ -43,6 +43,7 @@ from octalg.textform import format_coefficients, format_scalar, parse_octonion
 from octalg.trees import (
     CATALAN,
     _distinct_products,
+    _tree_labels,
     _machine_blocks,
     format_matrix_machine,
     format_matrix_text,
@@ -65,6 +66,14 @@ class TestEnumeration:
             Node(Leaf(1), Node(Leaf(2), Leaf(3))),
             Node(Node(Leaf(1), Leaf(2)), Leaf(3)),
         ]
+
+    def test_labels_are_folded_once_and_cannot_be_changed_by_a_caller(self, monkeypatch):
+        expected = [render_tree(t) for t in enumerate_trees(7)]
+        first = _tree_labels(7)
+        first.append("x1")
+        first[0] = "changed"
+        monkeypatch.setattr("octalg.trees._span_fold", None)  # a second fold would fail
+        assert _tree_labels(7) == expected
 
     def test_counts_match_catalan(self):
         expected = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862)
